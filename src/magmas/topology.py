@@ -51,15 +51,7 @@ def is_lower_open(p: PreOrder, s: AtomSet) -> bool:
 
 def _is_upper_open(p: PreOrder, s: AtomSet) -> bool:
     # dual predicate, only used by the complement-duality check
-    return all(not _succ(p, a) & ~s for a in bits(s))
-
-
-def _succ(p: PreOrder, a: int) -> AtomSet:
-    out = 0
-    for b in range(p.n):
-        if p.pred[b] >> a & 1:
-            out |= 1 << b
-    return out
+    return all(not p.successors(a) & ~s for a in bits(s))
 
 
 def complement_duality_holds(p: PreOrder, s: AtomSet) -> bool:

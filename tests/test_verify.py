@@ -4,11 +4,15 @@ from pathlib import Path
 import pytest
 
 from magmas import build
+from magmas import symbolic as sym
+from magmas import topology as tp
 from magmas.preorder import PreOrder, format_preorder
-from magmas.verify import (ConfigError, Counterexample, SUITES, SuiteConfig,
-                           render_report, replay, report_to_json, run_suite)
+from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
+                           SuiteConfig, _chk_open_family, render_report,
+                           replay, report_to_json, run_suite)
 
 GOLDEN = Path(__file__).parent / "golden" / "report_max2.txt"
+GOLDEN_MAX4 = Path(__file__).parent / "golden" / "report_max4.txt"
 
 
 def strip_timing(text):
@@ -165,3 +169,30 @@ def test_render_shows_counterexamples():
     assert "status: fail" in text
     assert "counterexample_1:" in text
     assert "model_text: |" in text
+
+
+def test_report_matches_golden_at_default_size():
+    # max_size 4 is where open-family-closure's loops and the symbolic
+    # suites do real work; pins every verdict, count and witness there
+    text = render_report(run_suite(SuiteConfig(max_size=4)), timing=False)
+    assert text == GOLDEN_MAX4.read_text()
+
+
+def test_generator_subset_fault_is_caught_and_replayed(monkeypatch):
+    monkeypatch.setattr(sym, "gen_subset", lambda g1, g2: True)
+    cfg = SuiteConfig(suites=("generator-subset-semantics",))
+    report = run_suite(cfg)
+    assert not report.passed
+    cx = report.failures[0]
+    assert cx.suite == "generator-subset-semantics"
+    assert replay(cx.to_blob()) is False
+
+
+def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
+    opens = tp.enumerate_opens(antichain2)  # before is_lower_open is broken
+    full = antichain2.full_mask
+    real = tp.is_lower_open
+    monkeypatch.setattr(tp, "enumerate_opens", lambda p, **kw: opens)
+    monkeypatch.setattr(tp, "is_lower_open", lambda p, s: s != full and real(p, s))
+    witnesses = _chk_open_family(antichain2, "n=2#0", RunContext(SuiteConfig()))
+    assert {"kind": "union", "x": "{a}", "y": "{b}"} in witnesses
