@@ -41,5 +41,6 @@ print("as feedable input:")
 print(cx.model_text)
 
 # Counterexamples replay exactly: the raw relation rows ride along, so
-# re-closing cannot mask the fault. False = the check still fails.
+# re-closing cannot mask the fault, and so do the seed and depths, so the
+# check draws the same instances. False = the check still fails.
 print("replay verdict:", replay(cx.to_blob()))

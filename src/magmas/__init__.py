@@ -62,15 +62,10 @@ from .hierarchy import (
     MElem,
     Membership,
     UnionReport,
-    build_levels,
     hf_rank,
     hf_union,
-    in_M_bounded,
-    member_level,
     parse_value,
-    pow_in_M,
     render_value,
-    union_in_M,
 )
 from .verify import (
     ConfigError,

@@ -139,7 +139,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         depth=args.depth,
         symbolic_depth=args.symbolic_depth,
         seed=args.seed,
-        out=args.out,
     )
     report = run_suite(cfg)
     text = (json.dumps(report_to_json(report), indent=2, sort_keys=True)
@@ -196,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=int, default=3, metavar="N")
     sp.add_argument("--print", dest="print_elements", action="store_true",
                     help="print every element (default prints sizes)")
-    sp.add_argument("--sizes", action="store_true",
-                    help="print level sizes (the default)")
     sp.add_argument("--growth-cap", type=int, default=hm.GROWTH_CAP)
     sp.set_defaults(fn=_cmd_hierarchy)
 

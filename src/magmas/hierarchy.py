@@ -17,7 +17,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .preorder import AtomSet, CapExceeded, PreOrder, bits
-from .topology import downset_masks, enumerate_opens, is_lower_open
+from .topology import (downset_masks, enumerate_opens, inclusion_rows,
+                       is_lower_open)
 
 GROWTH_CAP = 14
 
@@ -125,15 +126,7 @@ class HierarchyLevel:
     @cached_property
     def sub_rows(self) -> tuple[AtomSet, ...]:
         """sub_rows[i] = mask of the elements included in element i."""
-        ms = self.masks
-        rows = []
-        for mi in ms:
-            row = 0
-            for j, mj in enumerate(ms):
-                if not mj & ~mi:
-                    row |= 1 << j
-            rows.append(row)
-        return tuple(rows)
+        return inclusion_rows(self.masks)
 
     @cached_property
     def value_set(self) -> frozenset:
@@ -449,37 +442,3 @@ def level_basic_open_partition_free(lv: HierarchyLevel, *, space_cap: int = 12
     rows = lv.sub_rows
     return [i for i in range(len(lv))
             if find_open_partition(rows, rows[i]) is not None]
-
-
-# --- one-shot conveniences ---------------------------------------------------
-
-
-def level1(p: PreOrder, *, cap: int = 12) -> HierarchyLevel:
-    return Hierarchy(p, opens_cap=cap).level(1)
-
-
-def next_level(lv: HierarchyLevel, p: PreOrder, *,
-               growth_cap: int = GROWTH_CAP) -> HierarchyLevel:
-    h = Hierarchy(p, growth_cap=growth_cap)
-    return h._next(lv)
-
-
-def build_levels(p: PreOrder, depth: int, *, opens_cap: int = 12,
-                 growth_cap: int = GROWTH_CAP) -> list[HierarchyLevel]:
-    return Hierarchy(p, opens_cap=opens_cap, growth_cap=growth_cap).build(depth)
-
-
-def member_level(p: PreOrder, v: HF, n: int, **caps) -> bool:
-    return Hierarchy(p, **caps).member_level(v, n)
-
-
-def in_M_bounded(p: PreOrder, v: HF, bound: int, **caps) -> Membership:
-    return Hierarchy(p, **caps).membership(v, bound)
-
-
-def pow_in_M(p: PreOrder, x: MElem, **caps) -> MElem:
-    return Hierarchy(p, **caps).power_element(x)
-
-
-def union_in_M(p: PreOrder, v: HF, bound: int, **caps) -> UnionReport:
-    return Hierarchy(p, **caps).union_report(v, bound)

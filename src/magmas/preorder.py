@@ -34,10 +34,6 @@ def bits(mask: AtomSet) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: AtomSet) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class PreOrder:
     """A carrier of labeled atoms plus a predecessor-mask relation.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preorder import AtomSet, CapExceeded, PreOrder
-from .topology import down_closure, downset_masks, is_lower_open
+from .topology import down_closure, downset_masks, inclusion_rows, is_lower_open
 
 SHIFT_CAP = 12
 
@@ -95,19 +95,14 @@ def shifted_opens_match(p: PreOrder, *, cap: int = SHIFT_CAP) -> bool:
     if k > 22:
         raise CapExceeded(f"{k} open sets is too many to re-enumerate over")
     shift_rows = []
-    subset_rows = []
-    for j, xj in enumerate(opens):
-        srow = 0
-        crow = 0
+    for xj in opens:
+        row = 0
         for i, xi in enumerate(opens):
             if shift_leq(p, xi, xj):
-                srow |= 1 << i
-            if not xi & ~xj:
-                crow |= 1 << i
-        shift_rows.append(srow)
-        subset_rows.append(crow)
+                row |= 1 << i
+        shift_rows.append(row)
     lo_shift = list(downset_masks(tuple(shift_rows), k))
-    lo_subset = list(downset_masks(tuple(subset_rows), k))
+    lo_subset = list(downset_masks(inclusion_rows(opens), k))
     return lo_shift == lo_subset
 
 
@@ -120,11 +115,4 @@ def preorder_of_opens(p: PreOrder, *, cap: int = SHIFT_CAP) -> PreOrder:
 
     opens = enumerate_opens(p, cap=cap)
     labels = tuple("{" + ",".join(d.labels()) + "}" for d in opens)
-    rows = []
-    for xj in opens:
-        row = 0
-        for i, xi in enumerate(opens):
-            if not xi.members & ~xj.members:
-                row |= 1 << i
-        rows.append(row)
-    return PreOrder(labels, tuple(rows))
+    return PreOrder(labels, inclusion_rows([d.members for d in opens]))

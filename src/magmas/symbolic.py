@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +113,6 @@ def clustered_model(k: int) -> SymbolicPreOrder:
     )
 
 
-BUILTIN_MODELS = ("prefix", "clustered:k")
-
-
 def model_by_name(name: str) -> SymbolicPreOrder:
     if name == "prefix":
         return binary_string_model()
@@ -158,10 +155,6 @@ class GenOpen:
             inner = ",".join(self.model.render_atom(g) for g in self.generators)
             return f"<pr {inner}>"
         return "<cones " + "; ".join(repr(g) for g in self.generators) + ">"
-
-
-def level1(model: SymbolicPreOrder, atoms: Iterable[object]) -> GenOpen:
-    return GenOpen(model, 1, tuple(atoms))
 
 
 def _check_same(g1: GenOpen, g2: GenOpen) -> None:

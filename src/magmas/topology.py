@@ -8,7 +8,7 @@ enumerates them, finds the minimal ones, and checks saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .preorder import AtomSet, CapExceeded, PreOrder, bits
 
@@ -83,6 +83,21 @@ def downset_masks(rows: tuple[AtomSet, ...], n: int) -> Iterator[AtomSet]:
             m ^= low
         if ok:
             yield s
+
+
+def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:
+    """Row i is the mask of the j with masks[j] a subset of masks[i].
+
+    These are the predecessor rows of the family ordered by inclusion.
+    """
+    rows = []
+    for mi in masks:
+        row = 0
+        for j, mj in enumerate(masks):
+            if not mj & ~mi:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
 
 
 def enumerate_opens(p: PreOrder, *, cap: int = OPENS_CAP) -> list[DownSet]:

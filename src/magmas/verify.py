@@ -4,8 +4,11 @@ Each suite re-checks one statement about pre-ordered atom sets against
 every labeled pre-order up to the configured carrier size, or against the
 sampled symbolic models. A failed suite carries a replayable
 counterexample: the exact relation rows (so that injected-fault models
-are not repaired by re-closing) plus the witness data of the failing
-instance.
+are not repaired by re-closing), the witness data of the failing
+instance, and the seed and depths the run used. A check draws its
+instances only from those values, the suite id and the model name, so
+replay re-runs the suite's own check on the recorded rows under the
+recorded seed and depths and sees the same instances.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import hierarchy as hm
@@ -41,7 +44,6 @@ class SuiteConfig:
     depth: int = 3
     symbolic_depth: int = 8
     seed: int = 0
-    out: str | None = None
 
     def validate(self) -> None:
         if not 1 <= self.max_size <= 5:
@@ -62,6 +64,10 @@ class SuiteConfig:
         return tuple(s for s in SUITES if s in self.suites)
 
 
+# the SuiteConfig fields a check reads; each counterexample records them
+RECORDED_CONFIG = ("seed", "depth", "symbolic_depth")
+
+
 @dataclass(frozen=True)
 class Counterexample:
     suite: str
@@ -71,6 +77,7 @@ class Counterexample:
     rows: tuple[int, ...]
     witness: dict
     message: str
+    config: dict = field(default_factory=dict)  # RECORDED_CONFIG values
 
     def to_blob(self) -> dict:
         return {
@@ -81,11 +88,16 @@ class Counterexample:
             "rows": list(self.rows),
             "witness": self.witness,
             "message": self.message,
+            "config": dict(self.config),
         }
 
     @staticmethod
     def from_blob(blob: dict) -> "Counterexample":
         try:
+            config = dict(blob.get("config", {}))
+            if (set(config) - set(RECORDED_CONFIG)
+                    or not all(type(v) is int for v in config.values())):
+                raise TypeError(f"bad config {config!r}")
             return Counterexample(
                 suite=blob["suite"],
                 model=blob["model"],
@@ -94,8 +106,9 @@ class Counterexample:
                 rows=tuple(blob.get("rows", ())),
                 witness=dict(blob.get("witness", {})),
                 message=blob.get("message", ""),
+                config=config,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed counterexample blob: {exc}") from exc
 
 
@@ -508,16 +521,6 @@ def _chk_limit_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     return out
 
 
-def _recheck_limit_partition(p: PreOrder, witness: dict, ctx: RunContext) -> bool:
-    depth = _hier_depth(ctx)
-    h = ctx.hierarchy(p)
-    v = hm.parse_value(witness["value"])
-    direct = _direct_limit_successor(h, v, depth)
-    mem = h.membership(v, depth)
-    by_slices = mem.kind == "limit" or (mem.kind == "level" and (mem.level or 0) >= 2)
-    return direct == by_slices
-
-
 def _union_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
     rep = h.union_report(v, depth)
     out = []
@@ -547,12 +550,6 @@ def _chk_union_criterion(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
         for v in _mixed_family(h, depth, rng, MIXED_FAMILY_SIZE):
             out.extend(_union_witnesses(h, v, depth))
     return out
-
-
-def _recheck_union_criterion(p: PreOrder, witness: dict, ctx: RunContext) -> bool:
-    h = ctx.hierarchy(p)
-    v = hm.parse_value(witness["value"])
-    return not _union_witnesses(h, v, _hier_depth(ctx))
 
 
 def _chk_basic_no_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
@@ -634,12 +631,6 @@ def _chk_trichotomy(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     return out
 
 
-def _recheck_trichotomy(p: PreOrder, witness: dict, ctx: RunContext) -> bool:
-    h = ctx.hierarchy(p)
-    v = hm.parse_value(witness["value"])
-    return not _trichotomy_witnesses(h, v, _hier_depth(ctx))
-
-
 # --- symbolic suite checks ----------------------------------------------------
 
 
@@ -648,21 +639,6 @@ def _chk_symbolic_axioms(model: sym.SymbolicPreOrder, name: str,
     v = sym.validate_model(model, depth=ctx.cfg.symbolic_depth,
                            seed=ctx.cfg.seed)
     return [{"kind": "axiom-violation", "detail": f} for f in v.failures]
-
-
-def _recheck_symbolic_axioms(model: sym.SymbolicPreOrder, witness: dict,
-                             ctx: RunContext) -> bool:
-    detail = witness.get("detail", "")
-    atoms = [model.parse_atom(tok.strip()) for tok in
-             detail.split(" at ", 1)[1].split(",")] if " at " in detail else []
-    if detail.startswith("not reflexive") and atoms:
-        return model.leq(atoms[0], atoms[0])
-    if detail.startswith("strict_pred") and atoms:
-        return model.strict(model.strict_pred(atoms[0]), atoms[0])
-    if detail.startswith("not transitive") and len(atoms) == 3:
-        a, b, c = atoms
-        return not (model.leq(a, b) and model.leq(b, c)) or model.leq(a, c)
-    return not _chk_symbolic_axioms(model, "replay", ctx)
 
 
 def _gen_pool(model: sym.SymbolicPreOrder, rng: random.Random,
@@ -698,14 +674,6 @@ def _chk_gen_subset_semantics(model: sym.SymbolicPreOrder, name: str,
     return out
 
 
-def _recheck_gen_subset_semantics(model: sym.SymbolicPreOrder, witness: dict,
-                                  ctx: RunContext) -> bool:
-    g1 = sym.GenOpen(model, 1, tuple(model.parse_atom(t) for t in witness["g1"]))
-    g2 = sym.GenOpen(model, 1, tuple(model.parse_atom(t) for t in witness["g2"]))
-    members = sym.members_up_to(g1, ctx.cfg.symbolic_depth)
-    return sym.gen_subset(g1, g2) == _semantic_subset(members, g2)
-
-
 def _shrink_witnesses(g: sym.GenOpen) -> list[dict]:
     out = []
     cur = g
@@ -726,13 +694,6 @@ def _render_gens(g: sym.GenOpen) -> list:
     return [_render_gens(x) for x in g.generators]
 
 
-def _parse_gens(model: sym.SymbolicPreOrder, level: int, payload: list) -> sym.GenOpen:
-    if level == 1:
-        return sym.GenOpen(model, 1, tuple(model.parse_atom(t) for t in payload))
-    return sym.GenOpen(model, level,
-                       tuple(_parse_gens(model, level - 1, sub) for sub in payload))
-
-
 def _chk_shrink_descends(model: sym.SymbolicPreOrder, name: str,
                          ctx: RunContext) -> list[dict]:
     rng = ctx.rng("shrink-strictly-descends", name)
@@ -747,12 +708,6 @@ def _chk_shrink_descends(model: sym.SymbolicPreOrder, name: str,
     return out
 
 
-def _recheck_shrink(model: sym.SymbolicPreOrder, witness: dict,
-                    ctx: RunContext) -> bool:
-    g = _parse_gens(model, witness["level"], witness["gens"])
-    return not _shrink_witnesses(g)
-
-
 def _chk_cones_unbounded(model: sym.SymbolicPreOrder, name: str,
                          ctx: RunContext) -> list[dict]:
     rng = ctx.rng("generated-opens-unbounded", name)
@@ -764,14 +719,6 @@ def _chk_cones_unbounded(model: sym.SymbolicPreOrder, name: str,
         if not (counts[0] < counts[1] < counts[2]):
             out.append({"gens": _render_gens(g), "counts": counts})
     return out
-
-
-def _recheck_cones_unbounded(model: sym.SymbolicPreOrder, witness: dict,
-                             ctx: RunContext) -> bool:
-    g = _parse_gens(model, 1, witness["gens"])
-    depth = ctx.cfg.symbolic_depth
-    counts = [len(sym.members_up_to(g, d)) for d in (depth - 2, depth - 1, depth)]
-    return counts[0] < counts[1] < counts[2]
 
 
 def _chk_cluster_saturation(model: sym.SymbolicPreOrder, name: str,
@@ -791,14 +738,6 @@ def _chk_cluster_saturation(model: sym.SymbolicPreOrder, name: str,
     return out
 
 
-def _recheck_cluster_saturation(model: sym.SymbolicPreOrder, witness: dict,
-                                ctx: RunContext) -> bool:
-    k = int(model.name.split(":")[1])
-    g = _parse_gens(model, 1, witness["gens"])
-    s = witness["atom"]
-    return len({sym.gen_member(g, (s, i)) for i in range(k)}) == 1
-
-
 # --- registry -----------------------------------------------------------------
 
 
@@ -810,7 +749,6 @@ class Suite:
     check: Callable
     max_n: int | None = None           # finite scope: carrier-size limit
     models: tuple[str, ...] = ()       # symbolic scope: model names
-    recheck: Callable | None = None
 
 
 _SUITE_LIST = [
@@ -870,41 +808,37 @@ _SUITE_LIST = [
     Suite("limit-partition",
           "membership one step past the limit is equivalent to per-level slices "
           "being members two steps up",
-          "finite", _chk_limit_partition, max_n=HIER_MAX_N,
-          recheck=_recheck_limit_partition),
+          "finite", _chk_limit_partition, max_n=HIER_MAX_N),
     Suite("union-criterion",
           "union membership, the two-steps-up tier, and level homogeneity agree",
-          "finite", _chk_union_criterion, max_n=HIER_MAX_N,
-          recheck=_recheck_union_criterion),
+          "finite", _chk_union_criterion, max_n=HIER_MAX_N),
     Suite("basic-open-no-partition",
           "no basic open splits into two disjoint nonempty opens",
           "finite", _chk_basic_no_partition),
     Suite("magma-set-atom-trichotomy",
           "every hereditarily finite value is an atom, a magma, or a plain set",
-          "finite", _chk_trichotomy, max_n=HIER_MAX_N,
-          recheck=_recheck_trichotomy),
+          "finite", _chk_trichotomy, max_n=HIER_MAX_N),
     Suite("symbolic-model-axioms",
           "the symbolic models are reflexive, transitive, and minimal-free "
           "on all samples",
           "symbolic", _chk_symbolic_axioms,
-          models=("prefix", "clustered:2"), recheck=_recheck_symbolic_axioms),
+          models=("prefix", "clustered:2")),
     Suite("generator-subset-semantics",
           "generator-level inclusion matches bounded semantic inclusion",
           "symbolic", _chk_gen_subset_semantics,
-          models=("prefix", "clustered:2"),
-          recheck=_recheck_gen_subset_semantics),
+          models=("prefix", "clustered:2")),
     Suite("shrink-strictly-descends",
           "every generated open has a proper generated subopen",
           "symbolic", _chk_shrink_descends,
-          models=("prefix", "clustered:2"), recheck=_recheck_shrink),
+          models=("prefix", "clustered:2")),
     Suite("generated-opens-unbounded",
           "bounded counts of every generated open grow strictly with depth",
           "symbolic", _chk_cones_unbounded,
-          models=("prefix",), recheck=_recheck_cones_unbounded),
+          models=("prefix",)),
     Suite("clustered-class-saturation",
           "generated opens are constant on mutual-dependence clusters",
           "symbolic", _chk_cluster_saturation,
-          models=("clustered:3",), recheck=_recheck_cluster_saturation),
+          models=("clustered:3",)),
 ]
 
 SUITES: dict[str, Suite] = {s.suite_id: s for s in _SUITE_LIST}
@@ -913,47 +847,39 @@ SUITES: dict[str, Suite] = {s.suite_id: s for s in _SUITE_LIST}
 # --- runner -------------------------------------------------------------------
 
 
-def _run_finite_suite(suite: Suite, ctx: RunContext) -> SuiteResult:
+def _run_one(suite: Suite, ctx: RunContext) -> SuiteResult:
     cfg = ctx.cfg
-    limit = min(cfg.max_size, suite.max_n) if suite.max_n else cfg.max_size
+    finite = suite.scope == "finite"
+    recorded = {k: getattr(cfg, k) for k in RECORDED_CONFIG}
     result = SuiteResult(suite.suite_id, suite.statement, 0)
     start = time.perf_counter()
     try:
-        models = ctx.finite_models(limit)
-        for name, p in models:
+        if finite:
+            limit = min(cfg.max_size, suite.max_n) if suite.max_n else cfg.max_size
+            models = ctx.finite_models(limit)
+        else:
+            models = [(name, sym.model_by_name(name)) for name in suite.models]
+        for name, model in models:
             result.models_checked += 1
-            for witness in suite.check(p, name, ctx):
+            witnesses = suite.check(model, name, ctx)
+            if not witnesses:
+                continue
+            # symbolic models are rebuilt from their name alone
+            text, labels, rows = ((format_preorder(model), model.labels, model.pred)
+                                  if finite else ("", (), ()))
+            for witness in witnesses:
                 result.failures.append(Counterexample(
                     suite=suite.suite_id,
                     model=name,
-                    model_text=format_preorder(p),
-                    labels=p.labels,
-                    rows=p.pred,
+                    model_text=text,
+                    labels=labels,
+                    rows=rows,
                     witness=witness,
                     message=f"{suite.suite_id} failed on {name}",
+                    config=dict(recorded),
                 ))
     except CapExceeded as exc:
         result.note = f"cap exceeded: {exc}"
-    result.seconds = time.perf_counter() - start
-    return result
-
-
-def _run_symbolic_suite(suite: Suite, ctx: RunContext) -> SuiteResult:
-    result = SuiteResult(suite.suite_id, suite.statement, 0)
-    start = time.perf_counter()
-    for model_name in suite.models:
-        model = sym.model_by_name(model_name)
-        result.models_checked += 1
-        for witness in suite.check(model, model_name, ctx):
-            result.failures.append(Counterexample(
-                suite=suite.suite_id,
-                model=model_name,
-                model_text="",
-                labels=(),
-                rows=(),
-                witness=witness,
-                message=f"{suite.suite_id} failed on {model_name}",
-            ))
     result.seconds = time.perf_counter() - start
     return result
 
@@ -968,34 +894,32 @@ def run_suite(cfg: SuiteConfig, _model_hook: Callable | None = None) -> Report:
         if suite_id not in selected:
             results.append(SuiteResult(suite_id, suite.statement, 0, skipped=True))
             continue
-        if suite.scope == "finite":
-            results.append(_run_finite_suite(suite, ctx))
-        else:
-            results.append(_run_symbolic_suite(suite, ctx))
+        results.append(_run_one(suite, ctx))
     return Report(cfg, results)
 
 
 def replay(blob: dict | Counterexample, cfg: SuiteConfig | None = None) -> bool:
-    """Re-run the failing check of a counterexample; True means it passes now.
+    """Re-run the suite's check on the recorded model; True means it passes now.
 
     The relation is rebuilt verbatim from the recorded rows (no closure),
-    so injected-fault models reproduce their verdicts; the outcome does
-    not depend on the seed because rechecks are concrete.
+    so injected-fault models reproduce their verdicts. The check runs
+    under the recorded seed and depths, so a seeded suite draws the same
+    instances it drew when it failed; ``cfg`` (default ``SuiteConfig()``)
+    supplies only the values the counterexample does not record.
     """
     cx = blob if isinstance(blob, Counterexample) else Counterexample.from_blob(blob)
     suite = SUITES.get(cx.suite)
     if suite is None:
         raise ValueError(f"counterexample names unknown suite {cx.suite!r}")
-    ctx = RunContext(cfg or SuiteConfig())
+    run_cfg = replace(cfg or SuiteConfig(), **cx.config)
+    run_cfg.validate()
     if suite.scope == "finite":
         if not cx.labels:
             raise ValueError("finite counterexample is missing its relation rows")
         model: object = PreOrder(cx.labels, tuple(cx.rows))
     else:
         model = sym.model_by_name(cx.model)
-    if suite.recheck is not None:
-        return bool(suite.recheck(model, cx.witness, ctx))
-    return not suite.check(model, cx.model, ctx)
+    return not suite.check(model, cx.model, RunContext(run_cfg))
 
 
 # --- report rendering -----------------------------------------------------------

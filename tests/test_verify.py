@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from magmas import build
+from magmas import hierarchy as hm
 from magmas import symbolic as sym
 from magmas import topology as tp
 from magmas.preorder import PreOrder, format_preorder
@@ -129,6 +130,9 @@ def test_replay_rejects_malformed_blobs():
     with pytest.raises(ValueError):
         Counterexample.from_blob({"model": "missing suite"})
     with pytest.raises(ValueError):
+        Counterexample.from_blob({"suite": "closure-idempotence", "model": "n=1#0",
+                                  "config": {"seed": "7"}})
+    with pytest.raises(ValueError):
         replay({"suite": "closure-idempotence", "model": "n=1#0",
                 "labels": [], "rows": []})
 
@@ -139,12 +143,56 @@ def test_replay_symbolic_witness():
         "model": "prefix",
         "witness": {"g1": ["01"], "g2": ["0"]},
     }
-    assert replay(blob) is True  # pr(01) really is below pr(0)
+    # replay re-runs the whole check on the prefix model, where it holds;
+    # the witness (pr(01) below pr(0)) is reported, not decoded
+    assert replay(blob) is True
 
 
-def test_seeded_suites_carry_concrete_witnesses():
-    for sid in ("limit-partition", "union-criterion", "magma-set-atom-trichotomy"):
-        assert SUITES[sid].recheck is not None
+def forge_membership(monkeypatch, literal, level, bound=None):
+    """Make Hierarchy.membership place one non-member value at ``level``.
+
+    With ``bound`` set, only queries at that bound are forged.
+    """
+    forged = hm.parse_value(literal)
+    real = hm.Hierarchy.membership
+
+    def membership(self, v, b):
+        if v == forged and bound in (None, b):
+            return hm.Membership("level", level)
+        return real(self, v, b)
+
+    monkeypatch.setattr(hm.Hierarchy, "membership", membership)
+
+
+# a non-open subset of level 2 of the 3-antichain that subsets-in-m-are-open
+# draws at seed 0 and not at seed 1
+SEED0_ONLY = "{{{c}},{{a},{b}},{{a},{b},{c}},{{b},{c},{b,c}}}"
+
+
+def test_seeded_replay_uses_recorded_seed(monkeypatch):
+    forge_membership(monkeypatch, SEED0_ONLY, 3)
+    suites = ("subsets-in-m-are-open",)
+    assert run_suite(SuiteConfig(suites=suites, max_size=3, seed=1)).passed
+    report = run_suite(SuiteConfig(suites=suites, max_size=3, seed=0))
+    [cx] = report.failures
+    assert cx.witness["value"] == SEED0_ONLY
+    blob = cx.to_blob()
+    assert replay(blob) is False
+    assert replay(blob, SuiteConfig(seed=1)) is False  # the fault is still there
+
+
+def test_counterexample_records_config(monkeypatch):
+    # a fault only a depth-2 run reaches: there the suite asks membership
+    # at bound 3, at the default depth 3 it asks at bound 4
+    forge_membership(monkeypatch, "{{a,b}}", 2, bound=3)
+    cfg = SuiteConfig(suites=("subsets-in-m-are-open",), max_size=2, depth=2, seed=7)
+    cx = run_suite(cfg).failures[0]
+    blob = json.loads(json.dumps(cx.to_blob()))
+    back = Counterexample.from_blob(blob)
+    assert back.config == {"seed": 7, "depth": 2, "symbolic_depth": 8}
+    assert back == cx
+    assert replay(blob) is False
+    assert replay(dict(blob, config={})) is True  # default depth misses it
 
 
 def test_cap_exceeded_noted_not_fatal():
