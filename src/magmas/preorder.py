@@ -165,19 +165,13 @@ class PreOrder:
 
 
 def _close(rows: list[AtomSet]) -> tuple[AtomSet, ...]:
-    # Warshall-style fixed point on predecessor masks: fold pred[a] into
-    # pred[b] for every a below b until nothing changes.
-    n = len(rows)
-    changed = True
-    while changed:
-        changed = False
-        for b in range(n):
-            acc = rows[b]
-            for a in bits(acc):
-                acc |= rows[a]
-            if acc != rows[b]:
-                rows[b] = acc
-                changed = True
+    # Warshall on predecessor masks: after step k, every row holding k also
+    # holds pred[k], so rows[b] contains each a reaching b through atoms <= k.
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for b, row in enumerate(rows):
+            if row & bit:
+                rows[b] = row | row_k
     return tuple(rows)
 
 
@@ -212,11 +206,54 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(n))
 
 
+def _extensions(n: int) -> list[tuple[AtomSet, ...]]:
+    """Closed predecessor rows of every pre-order on n atoms, in no fixed order.
+
+    Each pre-order on atoms 0..n-2 grows by a new atom x = n-1 in every
+    consistent way: x takes a down-closed set D below it and an up-closed
+    set U above it, with D below every atom of U. Old rows in U gain x, and
+    x's row is D | {x}. Restricting to 0..n-2 inverts this, so each
+    pre-order on n atoms appears exactly once.
+    """
+    if n == 1:
+        return [(1,)]
+    x = 1 << (n - 1)
+    out = []
+    for rows in _extensions(n - 1):
+        downs = [m for m in range(x) if all(not rows[a] & ~m for a in bits(m))]
+        for rest in downs:
+            # The up-closed sets are the complements of the down-closed ones.
+            up = (x - 1) ^ rest
+            below = x - 1
+            for u in bits(up):
+                below &= rows[u]
+            grown = tuple(row | x if up >> b & 1 else row for b, row in enumerate(rows))
+            out.extend(grown + (d | x,) for d in downs if not d & ~below)
+    return out
+
+
+def _pattern_index(rows: tuple[AtomSet, ...]) -> int:
+    """Position of a relation among the 2^(n(n-1)) off-diagonal edge patterns.
+
+    Bit b*(n-1) + j is the j-th off-diagonal bit of row b, so the last
+    row is the most significant.
+    """
+    n = len(rows)
+    idx = 0
+    for b in reversed(range(n)):
+        row = rows[b]
+        idx = idx << (n - 1) | row & ((1 << b) - 1) | row >> (b + 1) << b
+    return idx
+
+
 def enumerate_preorders(n: int, *, bound: int = ENUM_DEFAULT_BOUND) -> Iterator[PreOrder]:
     """Every labeled pre-order on n atoms, exactly once, in a fixed order.
 
-    Runs over all 2^(n(n-1)) off-diagonal edge patterns and keeps the
-    transitive ones, so the stream index of a model is stable across runs.
+    Builds the pre-orders by one-point extension, so the work grows with
+    the number of pre-orders rather than with the 2^(n(n-1)) off-diagonal
+    edge patterns. They come out in the order of their edge pattern read
+    as a binary number (bit b*(n-1) + j: row b's j-th off-diagonal atom),
+    so the stream index of a model is stable across runs and versions.
     """
     if n > min(bound, ENUM_HARD_CAP):
         raise CapExceeded(
@@ -225,24 +262,10 @@ def enumerate_preorders(n: int, *, bound: int = ENUM_DEFAULT_BOUND) -> Iterator[
     if n < 1:
         raise ValueError("carrier size must be positive")
     labels = default_labels(n)
-    pairs = [(a, b) for b in range(n) for a in range(n) if a != b]
-    base = [1 << b for b in range(n)]
-    for pattern in range(1 << len(pairs)):
-        rows = base.copy()
-        for k, (a, b) in enumerate(pairs):
-            if pattern >> k & 1:
-                rows[b] |= 1 << a
-        ok = True
-        for b in range(n):
-            row = rows[b]
-            for a in bits(row):
-                if rows[a] & ~row:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield PreOrder(labels, tuple(rows))
+    models = _extensions(n)
+    models.sort(key=_pattern_index)
+    for rows in models:
+        yield PreOrder(labels, rows)
 
 
 def count_preorders(n: int, *, bound: int = ENUM_DEFAULT_BOUND) -> int:

@@ -23,6 +23,25 @@ def closure_pairs(labels, edges):
         rel |= extra
 
 
+def preorder_rows_by_pattern(n):
+    """Every pre-order on atoms 0..n-1 by a plain walk over edge patterns.
+
+    Pattern bit k is the pair pairs[k] = (a, b), meaning a <= b, listed
+    b-major. Returns, in pattern order, each transitive pattern as a
+    tuple of rows: row b is the frozenset of atoms a with a <= b.
+    """
+    points = range(n)
+    pairs = [(a, b) for b in points for a in points if a != b]
+    out = []
+    for pattern in range(1 << len(pairs)):
+        rel = {(a, a) for a in points}
+        rel.update(p for k, p in enumerate(pairs) if pattern >> k & 1)
+        if all((a, c) in rel for (a, b) in rel for (b2, c) in rel if b == b2):
+            out.append(tuple(frozenset(a for a in points if (a, b) in rel)
+                             for b in points))
+    return out
+
+
 def preds(rel, labels, a):
     return frozenset(b for b in labels if (b, a) in rel)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from magmas import (CapExceeded, PreOrder, build, count_preorders,
                     parse_atom_set, parse_preorder)
 from magmas.preorder import bits, default_labels
 
-from oracles import closure_pairs, preds, succs
+from oracles import closure_pairs, preds, preorder_rows_by_pattern, succs
 
 LABELS4 = "abcd"
 
@@ -179,9 +181,30 @@ def test_enumeration_no_duplicates(models_by_size):
     assert len(seen) == 29
 
 
-def test_enumeration_all_closed(models_by_size):
-    for p in models_by_size[3]:
-        PreOrder.from_pred_rows(p.labels, p.pred)
+def test_enumeration_all_closed():
+    for n, count in zip(range(1, 6), (1, 4, 29, 355, 6942)):
+        rows = [p.pred for p in enumerate_preorders(n, bound=5)]
+        assert len(set(rows)) == len(rows) == count
+        for r in rows:
+            PreOrder.from_pred_rows(default_labels(n), r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_pattern_walk(n):
+    got = [tuple(frozenset(a for a in range(n) if row >> a & 1) for row in p.pred)
+           for p in enumerate_preorders(n)]
+    assert got == preorder_rows_by_pattern(n)
+
+
+# Model names such as "n=5#idx" and the seeded streams of the verify suites
+# depend on this order; the digests pin the edge-pattern order.
+@pytest.mark.parametrize("n, digest", [
+    (4, "e40b8ad4157c737d3d9a01f2d4a3dfa36758b549665f35c34d47746f641ba6b5"),
+    (5, "4f6aaa5e409f725c5dbaca1b54947bcbfb0188c9578e2a9ffa4298d70995e978"),
+])
+def test_enumeration_order_pinned(n, digest):
+    rows = [p.pred for p in enumerate_preorders(n, bound=5)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_enumeration_bounds():
