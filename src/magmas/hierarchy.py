@@ -11,26 +11,33 @@ through the level-slice criterion, within an explicit bound.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .preorder import AtomSet, CapExceeded, PreOrder, bits
 from .topology import (downset_masks, enumerate_opens, inclusion_rows,
-                       is_lower_open)
+                       is_lower_open, row_union)
 
 GROWTH_CAP = 14
 
 HF = object  # an atom label (str) or a frozenset of HF values
 
 
-@functools.lru_cache(maxsize=None)
-def hf_rank(v: HF) -> int:
-    """0 for atoms and the empty set, else one above the deepest member."""
+def hf_rank(v: HF, memo: dict | None = None) -> int:
+    """0 for atoms and the empty set, else one above the deepest member.
+
+    ``memo``, when given, maps sets already ranked to their ranks; it is
+    read first and filled in. :meth:`Hierarchy.rank` passes its own.
+    """
     if isinstance(v, str):
         return 0
-    return 1 + max((hf_rank(y) for y in v), default=-1)
+    if memo is not None and v in memo:
+        return memo[v]
+    r = 1 + max((hf_rank(y, memo) for y in v), default=-1)
+    if memo is not None:
+        memo[v] = r
+    return r
 
 
 def hf_union(v: frozenset) -> frozenset:
@@ -205,6 +212,7 @@ class Hierarchy:
         self._levels: list[HierarchyLevel] = []
         self._member_cache: dict[tuple[HF, int], bool] = {}
         self._cone_cache: dict[tuple[frozenset, int], tuple[frozenset, ...]] = {}
+        self._rank_cache: dict[frozenset, int] = {}
 
     # --- level construction ------------------------------------------------
 
@@ -247,6 +255,10 @@ class Hierarchy:
 
     # --- membership --------------------------------------------------------
 
+    def rank(self, v: HF) -> int:
+        """``hf_rank(v)``, memoized for the life of this hierarchy."""
+        return hf_rank(v, self._rank_cache)
+
     def member_level(self, v: HF, n: int) -> bool:
         """Decide v in level n by the recursive characterization.
 
@@ -262,7 +274,7 @@ class Hierarchy:
             return hit
         if not isinstance(v, frozenset) or not v:
             result = False
-        elif hf_rank(v) != n:
+        elif self.rank(v) != n:
             # level-n members have rank exactly n; refuting early keeps
             # deep probes from materializing levels they cannot need
             result = False
@@ -322,7 +334,7 @@ class Hierarchy:
                 return Membership("outside")
             ly = self.finite_level_of(y, bound)
             if ly is None:
-                if hf_rank(y) <= bound:
+                if self.rank(y) <= bound:
                     return Membership("outside")
                 return Membership("undecided")
             member_levels[y] = ly
@@ -412,7 +424,7 @@ def find_open_partition(rows: tuple[AtomSet, ...], x: AtomSet
     """
 
     def open_in_space(s: AtomSet) -> bool:
-        return all(not rows[i] & ~s for i in bits(s))
+        return not row_union(rows, s) & ~s
 
     y1 = (x - 1) & x
     while y1:
@@ -431,7 +443,7 @@ def basic_open_partition_free(p: PreOrder) -> list[int]:
     the whole cone with it.
     """
     return [a for a in range(p.n)
-            if find_open_partition(p.pred, p.predecessors(a)) is not None]
+            if find_open_partition(p.pred, p.pred[a]) is not None]
 
 
 def level_basic_open_partition_free(lv: HierarchyLevel, *, space_cap: int = 12

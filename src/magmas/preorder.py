@@ -3,15 +3,16 @@
 Atoms are the indices 0..n-1 of a label list; subsets of the carrier are
 plain ints used as bitmasks (bit i set = atom i present). A relation is
 stored as one predecessor mask per atom: bit a of ``pred[b]`` means
-a <= b ("a depends on b"). ``build`` takes arbitrary edges and forms the
-reflexive-transitive closure, so a built ``PreOrder`` always satisfies
-reflexivity and transitivity.
+a <= b ("a depends on b"). Its transpose, one successor mask per atom, is
+computed once per ``PreOrder`` and kept as ``succ``. ``build`` takes
+arbitrary edges and forms the reflexive-transitive closure, so a built
+``PreOrder`` always satisfies reflexivity and transitivity.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 AtomSet = int
@@ -34,21 +35,36 @@ def bits(mask: AtomSet) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreOrder:
     """A carrier of labeled atoms plus a predecessor-mask relation.
 
     Construct through :func:`build` (which closes the relation) or
     :meth:`from_pred_rows` (which validates an already-closed one);
-    the raw constructor performs no checks.
+    the raw constructor performs no checks. ``n`` and the successor rows
+    ``succ`` are derived from the two fields once, at construction; they
+    take no part in equality, hashing or ``repr``.
     """
 
     labels: tuple[str, ...]
     pred: tuple[AtomSet, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    # succ[a] is {b : a <= b}, the transpose of pred; bits of pred outside
+    # the carrier are left out
+    succ: tuple[AtomSet, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+    def __post_init__(self) -> None:
+        n = len(self.labels)
+        succ = [0] * n
+        for b, row in enumerate(self.pred):
+            bit = 1 << b
+            m = row & ((1 << n) - 1)
+            while m:
+                low = m & -m
+                succ[low.bit_length() - 1] |= bit
+                m ^= low
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "succ", tuple(succ))
 
     @property
     def full_mask(self) -> AtomSet:
@@ -78,15 +94,12 @@ class PreOrder:
     def successors(self, a: int) -> AtomSet:
         """{b : a <= b}, the dual cone."""
         self._check_atom(a)
-        out = 0
-        for b in range(self.n):
-            if self.pred[b] >> a & 1:
-                out |= 1 << b
-        return out
+        return self.succ[a]
 
     def equiv_class(self, a: int) -> AtomSet:
         """Atoms mutually dependent with a."""
-        return self.predecessors(a) & self.successors(a)
+        self._check_atom(a)
+        return self.pred[a] & self.succ[a]
 
     def equiv_classes(self) -> list[AtomSet]:
         """Partition of the carrier into mutual-dependence classes.
@@ -99,7 +112,7 @@ class PreOrder:
         for a in range(self.n):
             if seen >> a & 1:
                 continue
-            cls = self.equiv_class(a)
+            cls = self.pred[a] & self.succ[a]
             seen |= cls
             out.append(cls)
         return out

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preorder import AtomSet, CapExceeded, PreOrder
-from .topology import down_closure, downset_masks, inclusion_rows, is_lower_open
+from .topology import (down_closure, downset_masks, enumerate_opens, inclusion_rows,
+                       is_lower_open)
 
 SHIFT_CAP = 12
 
@@ -28,7 +29,9 @@ def pr_plus(p: PreOrder, x: AtomSet, *, cap: int = SHIFT_CAP) -> list[AtomSet]:
     """All subsets y of the carrier (the empty one included) below x."""
     if p.n > cap:
         raise CapExceeded(f"carrier size {p.n} exceeds shift materialization cap {cap}")
-    out = [y for y in range(1 << p.n) if shift_leq(p, y, x)]
+    # shift_leq(p, y, x) for every y, with x's closure computed once
+    closure = down_closure(p, x)
+    out = [y for y in range(1 << p.n) if not y & ~closure]
     out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
@@ -88,17 +91,17 @@ def shifted_opens_match(p: PreOrder, *, cap: int = SHIFT_CAP) -> bool:
     Enumerates the lower-open families of (M1, shifted) and (M1, subset)
     and compares them set-for-set.
     """
-    from .topology import enumerate_opens
-
     opens = [d.members for d in enumerate_opens(p, cap=cap)]
     k = len(opens)
     if k > 22:
         raise CapExceeded(f"{k} open sets is too many to re-enumerate over")
     shift_rows = []
     for xj in opens:
+        # shift_leq(p, xi, xj) for every xi, with xj's closure computed once
+        closure = down_closure(p, xj)
         row = 0
         for i, xi in enumerate(opens):
-            if shift_leq(p, xi, xj):
+            if not xi & ~closure:
                 row |= 1 << i
         shift_rows.append(row)
     lo_shift = list(downset_masks(tuple(shift_rows), k))
@@ -111,8 +114,6 @@ def preorder_of_opens(p: PreOrder, *, cap: int = SHIFT_CAP) -> PreOrder:
 
     Pseudo-atom labels are the rendered open sets.
     """
-    from .topology import enumerate_opens
-
     opens = enumerate_opens(p, cap=cap)
     labels = tuple("{" + ",".join(d.labels()) + "}" for d in opens)
     return PreOrder(labels, inclusion_rows([d.members for d in opens]))

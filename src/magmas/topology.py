@@ -3,6 +3,11 @@
 A set is lower open when it contains the predecessor cone of each of its
 members. The nonempty lower-open sets are the level-1 magmas; this module
 enumerates them, finds the minimal ones, and checks saturation.
+
+The predicates read the relation's rows directly: ``pred`` for lower
+openness and down-closure, the stored transpose ``succ`` for upper
+openness. These three share one loop over the members of a set,
+:func:`row_union`.
 """
 
 from __future__ import annotations
@@ -40,18 +45,32 @@ class DownSet:
         return "{" + ",".join(self.labels()) + "}"
 
 
+def row_union(rows: Sequence[AtomSet], s: AtomSet) -> AtomSet:
+    """The union of ``rows[i]`` over the members i of s.
+
+    s is closed under the relation the rows describe exactly when this
+    union stays inside s.
+    """
+    out = 0
+    while s:
+        low = s & -s
+        out |= rows[low.bit_length() - 1]
+        s ^= low
+    return out
+
+
 def is_lower_open(p: PreOrder, s: AtomSet) -> bool:
     """Downward closed: every member brings its whole predecessor cone.
 
     The empty set counts as open here; DownSet construction is what
     enforces nonemptiness.
     """
-    return all(not p.pred[a] & ~s for a in bits(s))
+    return not row_union(p.pred, s) & ~s
 
 
 def _is_upper_open(p: PreOrder, s: AtomSet) -> bool:
     # dual predicate, only used by the complement-duality check
-    return all(not p.successors(a) & ~s for a in bits(s))
+    return not row_union(p.succ, s) & ~s
 
 
 def complement_duality_holds(p: PreOrder, s: AtomSet) -> bool:
@@ -60,10 +79,7 @@ def complement_duality_holds(p: PreOrder, s: AtomSet) -> bool:
 
 def down_closure(p: PreOrder, s: AtomSet) -> AtomSet:
     """Union of the predecessor cones of s: the least open superset."""
-    out = 0
-    for a in bits(s):
-        out |= p.pred[a]
-    return out
+    return row_union(p.pred, s)
 
 
 def downset_masks(rows: tuple[AtomSet, ...], n: int) -> Iterator[AtomSet]:
@@ -118,11 +134,18 @@ def is_minimal_open(p: PreOrder, x: DownSet | AtomSet) -> bool:
     return s != 0 and all(p.pred[a] == s for a in bits(s))
 
 
-def minimal_opens(p: PreOrder, *, cap: int = OPENS_CAP) -> list[DownSet]:
-    """The minimal elements of the open-set family; never empty finitely."""
-    return [x for x in enumerate_opens(p, cap=cap) if is_minimal_open(p, x)]
+def minimal_opens(p: PreOrder) -> list[DownSet]:
+    """The minimal elements of the open-set family; never empty finitely.
+
+    Found pointwise, with no enumeration: a minimal open is a predecessor
+    cone that equals the cone of each of its members. Sorted by size then
+    bit pattern, as :func:`enumerate_opens` sorts.
+    """
+    outside = ~p.full_mask
+    cones = {s for s in p.pred if not s & outside and is_minimal_open(p, s)}
+    return [DownSet(p, s) for s in sorted(cones, key=lambda s: (s.bit_count(), s))]
 
 
 def is_saturated(p: PreOrder, s: AtomSet) -> bool:
     """Closed under mutual dependence: members bring their whole class."""
-    return all(not p.equiv_class(a) & ~s for a in bits(s))
+    return all(not p.pred[a] & p.succ[a] & ~s for a in bits(s))

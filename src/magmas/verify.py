@@ -250,9 +250,10 @@ def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
                             "y": format_atom_set(p, y)})
     for x in opens:
         for y in opens:
+            xy_union, xy_meet = x | y, x & y
             for z in opens:
-                u = x | y | z
-                m = x & y & z
+                u = xy_union | z
+                m = xy_meet & z
                 if not is_open[u] or (m and not is_open[m]):
                     out.append({"kind": "triple",
                                 "sets": [format_atom_set(p, s) for s in (x, y, z)]})
@@ -344,7 +345,7 @@ def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     lo = sh.preorder_of_opens(p)
-    has_minimal = bool(tp.minimal_opens(lo, cap=22))
+    has_minimal = bool(tp.minimal_opens(lo))
     star, _ = p.satisfies_star()
     if has_minimal and star:
         return [{"kind": "minimal-despite-star"}]
@@ -375,14 +376,14 @@ def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]
             out.append({"kind": "fixed-point", "level": li.index})
     for li in levels:
         for v in li.values:
-            if hm.hf_rank(v) != li.index:
+            if h.rank(v) != li.index:
                 out.append({"kind": "rank-mismatch", "level": li.index,
                             "value": hm.render_value(v)})
     if depth >= 2:
         # the rank-2 fragment of the hierarchy strictly exceeds level 2:
         # level-1 members live at rank <= 2 but never at level 2
         l1, l2 = levels[0], levels[1]
-        extra = [v for v in l1.values if hm.hf_rank(v) <= 2
+        extra = [v for v in l1.values if h.rank(v) <= 2
                  and v not in l2.value_set]
         if not extra:
             out.append({"kind": "bottom-level-absorbed"})
@@ -847,6 +848,21 @@ SUITES: dict[str, Suite] = {s.suite_id: s for s in _SUITE_LIST}
 # --- runner -------------------------------------------------------------------
 
 
+def _witnesses(suite: Suite, model: object, name: str, ctx: RunContext) -> list[dict]:
+    """The check's witnesses on one model.
+
+    An exception other than CapExceeded is a bug in the check or in the
+    library it tests, so it is reported as one witness of kind
+    "exception" rather than stopping the run.
+    """
+    try:
+        return suite.check(model, name, ctx)
+    except CapExceeded:
+        raise
+    except Exception as exc:
+        return [{"kind": "exception", "type": type(exc).__name__, "message": str(exc)}]
+
+
 def _run_one(suite: Suite, ctx: RunContext) -> SuiteResult:
     cfg = ctx.cfg
     finite = suite.scope == "finite"
@@ -861,7 +877,7 @@ def _run_one(suite: Suite, ctx: RunContext) -> SuiteResult:
             models = [(name, sym.model_by_name(name)) for name in suite.models]
         for name, model in models:
             result.models_checked += 1
-            witnesses = suite.check(model, name, ctx)
+            witnesses = _witnesses(suite, model, name, ctx)
             if not witnesses:
                 continue
             # symbolic models are rebuilt from their name alone
@@ -905,7 +921,8 @@ def replay(blob: dict | Counterexample, cfg: SuiteConfig | None = None) -> bool:
     so injected-fault models reproduce their verdicts. The check runs
     under the recorded seed and depths, so a seeded suite draws the same
     instances it drew when it failed; ``cfg`` (default ``SuiteConfig()``)
-    supplies only the values the counterexample does not record.
+    supplies only the values the counterexample does not record. A check
+    that raises anything but CapExceeded fails, as it does in a run.
     """
     cx = blob if isinstance(blob, Counterexample) else Counterexample.from_blob(blob)
     suite = SUITES.get(cx.suite)
@@ -919,7 +936,7 @@ def replay(blob: dict | Counterexample, cfg: SuiteConfig | None = None) -> bool:
         model: object = PreOrder(cx.labels, tuple(cx.rows))
     else:
         model = sym.model_by_name(cx.model)
-    return not suite.check(model, cx.model, RunContext(run_cfg))
+    return not _witnesses(suite, model, cx.model, RunContext(run_cfg))
 
 
 # --- report rendering -----------------------------------------------------------

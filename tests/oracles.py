@@ -42,6 +42,16 @@ def preorder_rows_by_pattern(n):
     return out
 
 
+def transpose_rows(rows):
+    """Row a of the result is the set of b whose row holds a.
+
+    ``rows`` is a tuple of frozensets over atoms 0..len(rows)-1: with
+    predecessor rows in, successor rows come out.
+    """
+    return tuple(frozenset(b for b, row in enumerate(rows) if a in row)
+                 for a in range(len(rows)))
+
+
 def preds(rel, labels, a):
     return frozenset(b for b in labels if (b, a) in rel)
 

@@ -111,6 +111,17 @@ def test_rank_equals_level(models_by_size):
             assert all(hf_rank(v) == lv.index for v in lv.values)
 
 
+def test_hierarchy_rank_memo_matches_hf_rank(models_by_size):
+    assert not hasattr(hf_rank, "cache_info")  # no process-global memo
+    for n in (1, 2, 3):
+        for p in models_by_size[n]:
+            h = h_of(p)
+            # top level first, so lower values are answered from the memo
+            for lv in reversed(h.build(3)):
+                for v in lv.values:
+                    assert h.rank(v) == hf_rank(v) == lv.index
+
+
 def test_growth_cap(antichain3):
     with pytest.raises(CapExceeded):
         Hierarchy(antichain3, growth_cap=GROWTH_CAP).build(3)  # |M2| = 18

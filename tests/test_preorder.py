@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -9,7 +10,8 @@ from magmas import (CapExceeded, PreOrder, build, count_preorders,
                     parse_atom_set, parse_preorder)
 from magmas.preorder import bits, default_labels
 
-from oracles import closure_pairs, preds, preorder_rows_by_pattern, succs
+from oracles import (closure_pairs, preds, preorder_rows_by_pattern, succs,
+                     transpose_rows)
 
 LABELS4 = "abcd"
 
@@ -129,6 +131,41 @@ def test_predecessors_successors(chain3, antichain2, twocycle):
     assert antichain2.successors(1) == 0b10
     assert twocycle.predecessors(0) == 0b11
     assert twocycle.successors(0) == 0b11
+
+
+def as_sets(rows):
+    return tuple(frozenset(i for i in range(len(rows)) if row >> i & 1) for row in rows)
+
+
+def test_succ_is_transpose_of_pred(models_by_size):
+    for n in (1, 2, 3, 4):
+        for p in models_by_size[n]:
+            assert as_sets(p.succ) == transpose_rows(as_sets(p.pred))
+            assert [p.successors(a) for a in range(n)] == list(p.succ)
+            assert [p.equiv_class(a) for a in range(n)] == [
+                p.pred[a] & p.succ[a] for a in range(n)]
+
+
+def test_stored_rows_leave_equality_hash_and_repr_alone(chain3):
+    other = PreOrder(chain3.labels, chain3.pred)
+    assert other == chain3 and hash(other) == hash((chain3.labels, chain3.pred))
+    assert repr(other) == "PreOrder(a b c; a<=b, a<=c, b<=c)"
+    assert [f.name for f in dataclasses.fields(PreOrder)
+            if f.compare or f.hash or f.repr] == ["labels", "pred"]
+
+
+def test_raw_rows_outside_the_carrier_still_construct():
+    p = PreOrder(("a", "b"), (0b101, 0b10))
+    assert p.n == 2 and p.succ == (0b01, 0b10)
+    with pytest.raises(ValueError, match="outside the carrier"):
+        PreOrder.from_pred_rows(p.labels, p.pred)
+
+
+def test_accessors_keep_bounds_checks(chain3):
+    for accessor in (chain3.predecessors, chain3.successors, chain3.equiv_class):
+        for a in (-1, 3):
+            with pytest.raises(IndexError):
+                accessor(a)
 
 
 @settings(max_examples=100)

@@ -96,6 +96,23 @@ def test_minimality_matches_brute_force(models_by_size):
                 assert is_minimal_open(p, d) == brute
 
 
+def test_minimal_opens_pointwise_matches_filtered_enumeration(models_by_size):
+    for n in (1, 2, 3, 4):
+        for p in models_by_size[n]:
+            opens = enumerate_opens(p)
+            brute = [d for d in opens
+                     if not any(e.members != d.members and not e.members & ~d.members
+                                for e in opens)]
+            assert minimal_opens(p) == brute
+
+
+def test_minimal_opens_past_the_open_enumeration_cap():
+    # 13 atoms is over OPENS_CAP; the pointwise search needs no enumeration
+    p = build([f"x{i}" for i in range(13)], [("x0", "x1"), ("x1", "x0"), ("x1", "x2")])
+    assert [d.labels() for d in minimal_opens(p)] == (
+        [[f"x{i}"] for i in range(3, 13)] + [["x0", "x1"]])
+
+
 def test_minimal_opens_never_empty(models_by_size):
     for n in (1, 2, 3):
         for p in models_by_size[n]:

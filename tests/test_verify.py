@@ -244,3 +244,29 @@ def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
     monkeypatch.setattr(tp, "is_lower_open", lambda p, s: s != full and real(p, s))
     witnesses = _chk_open_family(antichain2, "n=2#0", RunContext(SuiteConfig()))
     assert {"kind": "union", "x": "{a}", "y": "{b}"} in witnesses
+
+
+def test_check_exception_is_a_counterexample(monkeypatch):
+    # a bug that raises on one model fails the suite there and the run goes on
+    real = tp.complement_duality_holds
+
+    def faulty(p, s):
+        if p.pred == (0b01, 0b11):
+            raise ValueError("injected fault")
+        return real(p, s)
+
+    monkeypatch.setattr(tp, "complement_duality_holds", faulty)
+    cfg = SuiteConfig(suites=("open-complement-duality", "class-vs-cone"), max_size=2)
+    report = run_suite(cfg)
+    res = {r.suite_id: r for r in report.results}
+    assert res["class-vs-cone"].passed
+    assert res["open-complement-duality"].models_checked == 1 + 4
+    [cx] = report.failures
+    assert cx.witness == {"kind": "exception", "type": "ValueError",
+                          "message": "injected fault"}
+    assert cx.rows == (0b01, 0b11)
+    assert "counterexample_1:" in render_report(report)
+    blob = json.loads(json.dumps(cx.to_blob()))
+    assert replay(blob) is False
+    monkeypatch.undo()
+    assert replay(blob) is True
