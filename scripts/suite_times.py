@@ -1,0 +1,89 @@
+"""Per-suite `run_suite` times of a base commit against this checkout.
+
+    python3 scripts/suite_times.py --base HEAD --max-size 5 --runs 9
+
+Exports the committed files of --base with `git archive` into a temporary
+directory, as `bench_pair.py` does. Then runs `run_suite` (every suite,
+seed 0) at --max-size --runs times on each side, each run in a fresh
+process and one process at a time. The side that runs first alternates
+from run to run, so drift in the host's speed falls on both sides alike.
+Prints each side's median seconds per suite and for the whole
+`run_suite` call, with the checkout's median as a ratio of the base's.
+Writes no file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pair import ROOT, export
+
+# Run inside a tree with its src/ first on the path; prints one JSON line.
+PROGRAM = """
+import json, sys, time
+from magmas import SuiteConfig, run_suite
+start = time.perf_counter()
+report = run_suite(SuiteConfig(max_size=int(sys.argv[1])))
+total = time.perf_counter() - start
+print(json.dumps({"suites": {r.suite_id: r.seconds for r in report.results},
+                  "total": total}))
+"""
+
+
+def times(root: Path, max_size: int) -> dict:
+    """Suite seconds and the whole call's seconds of one run in the tree at root."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", PROGRAM, str(max_size)], cwd=root,
+                         env=env, capture_output=True, text=True, timeout=900, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="commit to compare against")
+    ap.add_argument("--max-size", type=int, default=5)
+    ap.add_argument("--runs", type=int, default=5, help="runs per side")
+    args = ap.parse_args()
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="suite-times-base-") as tmp:
+        base_root = Path(tmp)
+        sha = export(args.base, base_root)
+        for i in range(args.runs):
+            order = [("base", base_root), ("change", ROOT)]
+            if i % 2:
+                order.reverse()
+            for side, where in order:
+                runs[side].append(times(where, args.max_size))
+            print(f"run {i + 1}: base {runs['base'][-1]['total']:.3f} s  "
+                  f"change {runs['change'][-1]['total']:.3f} s", flush=True)
+
+    def median(side: str, suite: str | None) -> float | None:
+        vals = [r["total"] if suite is None else r["suites"].get(suite)
+                for r in runs[side]]
+        vals = [v for v in vals if v is not None]
+        return statistics.median(vals) if vals else None
+
+    suites = list(runs["change"][0]["suites"])
+    suites += [s for s in runs["base"][0]["suites"] if s not in suites]
+    print(f"\nmedians of {args.runs} runs per side, max_size {args.max_size}, "
+          f"base {sha[:12]}")
+    print(f"{'suite':40s} {'base s':>9s} {'change s':>9s} {'ratio':>7s}")
+    for suite in suites + [None]:
+        b, c = median("base", suite), median("change", suite)
+        ratio = f"{c / b:7.2f}" if b and c is not None else f"{'-':>7s}"
+        cells = [f"{v:9.3f}" if v is not None else f"{'-':>9s}" for v in (b, c)]
+        print(f"{suite or 'run_suite total':40s} {cells[0]} {cells[1]} {ratio}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,6 +29,7 @@ from .topology import (
     is_minimal_open,
     is_saturated,
     minimal_opens,
+    open_masks,
 )
 from .shifting import (
     ConnectionCheck,

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preorder import AtomSet, CapExceeded, PreOrder
-from .topology import (down_closure, downset_masks, enumerate_opens, inclusion_rows,
-                       is_lower_open)
+from .topology import (down_closure, downset_masks, inclusion_rows, is_lower_open,
+                       open_masks)
 
 SHIFT_CAP = 12
 
@@ -91,7 +91,7 @@ def shifted_opens_match(p: PreOrder, *, cap: int = SHIFT_CAP) -> bool:
     Enumerates the lower-open families of (M1, shifted) and (M1, subset)
     and compares them set-for-set.
     """
-    opens = [d.members for d in enumerate_opens(p, cap=cap)]
+    opens = open_masks(p, cap=cap)
     k = len(opens)
     if k > 22:
         raise CapExceeded(f"{k} open sets is too many to re-enumerate over")
@@ -114,6 +114,6 @@ def preorder_of_opens(p: PreOrder, *, cap: int = SHIFT_CAP) -> PreOrder:
 
     Pseudo-atom labels are the rendered open sets.
     """
-    opens = enumerate_opens(p, cap=cap)
-    labels = tuple("{" + ",".join(d.labels()) + "}" for d in opens)
-    return PreOrder(labels, inclusion_rows([d.members for d in opens]))
+    opens = open_masks(p, cap=cap)
+    labels = tuple("{" + ",".join(p.set_labels(s)) + "}" for s in opens)
+    return PreOrder(labels, inclusion_rows(opens))

@@ -4,6 +4,10 @@ A set is lower open when it contains the predecessor cone of each of its
 members. The nonempty lower-open sets are the level-1 magmas; this module
 enumerates them, finds the minimal ones, and checks saturation.
 
+:func:`open_masks` lists them as bare bitmasks, for callers that work on
+masks; :func:`enumerate_opens` wraps the same list in validated
+:class:`DownSet` values.
+
 The predicates read the relation's rows directly: ``pred`` for lower
 openness and down-closure, the stored transpose ``succ`` for upper
 openness. These three share one loop over the members of a set,
@@ -116,12 +120,16 @@ def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:
     return tuple(rows)
 
 
-def enumerate_opens(p: PreOrder, *, cap: int = OPENS_CAP) -> list[DownSet]:
-    """All nonempty lower-open subsets, sorted by size then bit pattern."""
+def open_masks(p: PreOrder, *, cap: int = OPENS_CAP) -> list[AtomSet]:
+    """Masks of the nonempty lower-open subsets, sorted by size then bit pattern."""
     if p.n > cap:
         raise CapExceeded(f"carrier size {p.n} exceeds open-enumeration cap {cap}")
-    masks = sorted(downset_masks(p.pred, p.n), key=lambda s: (s.bit_count(), s))
-    return [DownSet(p, s) for s in masks]
+    return sorted(downset_masks(p.pred, p.n), key=lambda s: (s.bit_count(), s))
+
+
+def enumerate_opens(p: PreOrder, *, cap: int = OPENS_CAP) -> list[DownSet]:
+    """All nonempty lower-open subsets, sorted by size then bit pattern."""
+    return [DownSet(p, s) for s in open_masks(p, cap=cap)]
 
 
 def is_minimal_open(p: PreOrder, x: DownSet | AtomSet) -> bool:
@@ -131,7 +139,16 @@ def is_minimal_open(p: PreOrder, x: DownSet | AtomSet) -> bool:
     predecessor cone of each of its members.
     """
     s = x.members if isinstance(x, DownSet) else x
-    return s != 0 and all(p.pred[a] == s for a in bits(s))
+    if not s:
+        return False
+    pred = p.pred
+    m = s
+    while m:
+        low = m & -m
+        if pred[low.bit_length() - 1] != s:
+            return False
+        m ^= low
+    return True
 
 
 def minimal_opens(p: PreOrder) -> list[DownSet]:
@@ -139,10 +156,10 @@ def minimal_opens(p: PreOrder) -> list[DownSet]:
 
     Found pointwise, with no enumeration: a minimal open is a predecessor
     cone that equals the cone of each of its members. Sorted by size then
-    bit pattern, as :func:`enumerate_opens` sorts.
+    bit pattern, as :func:`open_masks` sorts.
     """
     outside = ~p.full_mask
-    cones = {s for s in p.pred if not s & outside and is_minimal_open(p, s)}
+    cones = [s for s in set(p.pred) if not s & outside and is_minimal_open(p, s)]
     return [DownSet(p, s) for s in sorted(cones, key=lambda s: (s.bit_count(), s))]
 
 

@@ -1,7 +1,9 @@
 """Independent reference computations for the tests.
 
-Everything here works on label pairs and frozensets, never on the
-library's bitmask representations, so agreement is meaningful.
+Nothing here calls library code, so agreement is meaningful. Most of it
+works on label pairs and frozensets, never on the library's bitmask
+representations; ``open_family_witnesses`` takes plain int masks, as
+the check it pins does.
 """
 
 from __future__ import annotations
@@ -73,6 +75,30 @@ def opens_of(rel, labels):
             s = frozenset(combo)
             if is_down_closed(rel, labels, s):
                 out.add(s)
+    return out
+
+
+def open_family_witnesses(opens, is_open):
+    """Every union, intersection and triple failure, by the plain loops.
+
+    ``opens`` is a list of int masks and ``is_open[s]`` the verdict on
+    mask s. Returns ("union", (x, y)) and ("intersection", (x, y)) over
+    the pairs with x at or before y in ``opens``, then ("triple", (x, y, z))
+    over every ordered triple, each in loop order.
+    """
+    out = []
+    for i, x in enumerate(opens):
+        for y in opens[i:]:
+            if not is_open[x | y]:
+                out.append(("union", (x, y)))
+            if x & y and not is_open[x & y]:
+                out.append(("intersection", (x, y)))
+    for x in opens:
+        for y in opens:
+            for z in opens:
+                meet = x & y & z
+                if not is_open[x | y | z] or (meet and not is_open[meet]):
+                    out.append(("triple", (x, y, z)))
     return out
 
 

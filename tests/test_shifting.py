@@ -3,10 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magmas import (CapExceeded, build, check_connection, enumerate_opens,
-                    pr_plus, preorder_of_opens, shift_leq, shifted_is_total,
-                    shifted_opens_match)
+                    open_masks, pr_plus, preorder_of_opens, shift_leq,
+                    shifted_is_total, shifted_opens_match)
 from magmas.preorder import bits
 from magmas.shifting import powerset_masks
+from magmas.topology import inclusion_rows
 
 from oracles import shift_pairs
 
@@ -127,3 +128,12 @@ def test_preorder_of_opens_structure(chain3):
     assert lo.labels[0] == "{a}"
     # a 3-chain of opens under inclusion
     assert lo.leq(0, 2) and not lo.leq(2, 0)
+
+
+def test_preorder_of_opens_labels_and_rows(models_by_size):
+    # labels render each open as its DownSet does; rows are plain inclusion
+    for n in (1, 2, 3, 4):
+        for p in models_by_size[n]:
+            lo = preorder_of_opens(p)
+            assert lo.labels == tuple(repr(d) for d in enumerate_opens(p))
+            assert lo.pred == inclusion_rows(open_masks(p))

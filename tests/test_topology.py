@@ -1,7 +1,8 @@
 import pytest
 
 from magmas import (CapExceeded, DownSet, build, down_closure, enumerate_opens,
-                    is_lower_open, is_minimal_open, is_saturated, minimal_opens)
+                    is_lower_open, is_minimal_open, is_saturated, minimal_opens,
+                    open_masks)
 from magmas.preorder import bits
 from magmas.topology import complement_duality_holds
 
@@ -54,12 +55,15 @@ def test_enumerate_opens_canonical_order(models_by_size):
     for p in models_by_size[3]:
         keys = [(d.members.bit_count(), d.members) for d in enumerate_opens(p)]
         assert keys == sorted(keys)
+        assert open_masks(p) == [m for _, m in keys]
 
 
 def test_opens_cap():
     wide = build([f"x{i}" for i in range(13)])
     with pytest.raises(CapExceeded):
         enumerate_opens(wide)
+    with pytest.raises(CapExceeded):
+        open_masks(wide)
     assert len(enumerate_opens(wide, cap=13)) == 2 ** 13 - 1
 
 

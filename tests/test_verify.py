@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,12 @@ from magmas import build
 from magmas import hierarchy as hm
 from magmas import symbolic as sym
 from magmas import topology as tp
-from magmas.preorder import PreOrder, format_preorder
+from magmas.preorder import PreOrder, format_atom_set, format_preorder
 from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
                            SuiteConfig, _chk_open_family, render_report,
                            replay, report_to_json, run_suite)
+
+from oracles import open_family_witnesses
 
 GOLDEN = Path(__file__).parent / "golden" / "report_max2.txt"
 GOLDEN_MAX4 = Path(__file__).parent / "golden" / "report_max4.txt"
@@ -237,13 +240,62 @@ def test_generator_subset_fault_is_caught_and_replayed(monkeypatch):
 
 
 def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
-    opens = tp.enumerate_opens(antichain2)  # before is_lower_open is broken
+    opens = tp.open_masks(antichain2)  # before is_lower_open is broken
     full = antichain2.full_mask
     real = tp.is_lower_open
-    monkeypatch.setattr(tp, "enumerate_opens", lambda p, **kw: opens)
+    monkeypatch.setattr(tp, "open_masks", lambda p, **kw: opens)
     monkeypatch.setattr(tp, "is_lower_open", lambda p, s: s != full and real(p, s))
     witnesses = _chk_open_family(antichain2, "n=2#0", RunContext(SuiteConfig()))
     assert {"kind": "union", "x": "{a}", "y": "{b}"} in witnesses
+
+
+def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
+    # seeded faults in the library predicate; the opens are the masks the
+    # faulty predicate accepts, some dropped, so the family need not be
+    # closed under unions or meets. The pair shortcut must report exactly
+    # the witnesses of the full pair and triple loops.
+    real = tp.is_lower_open
+    checked = with_triples = 0
+    for n in (1, 2, 3):
+        for idx, p in enumerate(models_by_size[n]):
+            rng = random.Random(f"open-family:{n}:{idx}")
+            table = [real(p, s) != (rng.random() < 0.15) for s in range(1 << n)]
+            opens = sorted((s for s in range(1, 1 << n) if table[s] and rng.random() >= 0.2),
+                           key=lambda s: (s.bit_count(), s))
+            monkeypatch.setattr(tp, "is_lower_open", lambda q, s, t=table: t[s])
+            monkeypatch.setattr(tp, "open_masks", lambda q, o=opens: o)
+            want = []
+            for kind, masks in open_family_witnesses(opens, table):
+                sets = [format_atom_set(p, s) for s in masks]
+                want.append({"kind": kind, "sets": sets} if kind == "triple"
+                            else {"kind": kind, "x": sets[0], "y": sets[1]})
+            got = _chk_open_family(p, f"n={n}#{idx}", RunContext(SuiteConfig()))
+            assert got == want
+            checked += 1
+            with_triples += any(w["kind"] == "triple" for w in got)
+    assert 0 < with_triples < checked  # both the shortcut and the full loop ran
+
+
+def test_non_open_mask_in_open_masks_is_caught(monkeypatch):
+    # the checks take bare masks, with no DownSet validation on the way;
+    # {b} is not open in the chain a <= b
+    chain = (0b01, 0b11)
+    real = tp.open_masks
+
+    def injected(p, **kw):
+        masks = real(p, **kw)
+        return masks + [0b10] if p.pred == chain else masks
+
+    monkeypatch.setattr(tp, "open_masks", injected)
+    report = run_suite(SuiteConfig(suites=("open-family-closure",), max_size=2))
+    assert report.failures
+    assert {cx.rows for cx in report.failures} == {chain}
+    witnesses = [cx.witness for cx in report.failures]
+    assert {"kind": "union", "x": "{b}", "y": "{b}"} in witnesses
+    blob = json.loads(json.dumps(report.failures[0].to_blob()))
+    assert replay(blob) is False
+    monkeypatch.undo()
+    assert replay(blob) is True
 
 
 def test_check_exception_is_a_counterexample(monkeypatch):
