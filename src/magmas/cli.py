@@ -22,7 +22,9 @@ from .verify import (ConfigError, SuiteConfig, SUITES, render_report,
                      report_to_json, run_suite)
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, value: int | None, fallback: int) -> int:
+    if value is not None:
+        return value
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -39,7 +41,7 @@ def _cmd_opens(args: argparse.Namespace) -> int:
         print(len(opens))
         return 0
     for d in opens:
-        print("{" + ",".join(d.labels()) + "}")
+        print(format_atom_set(p, d.members))
     return 0
 
 
@@ -135,9 +137,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     suites = tuple(args.suites.split(",")) if args.suites else ("all",)
     cfg = SuiteConfig(
         suites=suites,
-        max_size=args.max_size,
-        depth=args.depth,
-        symbolic_depth=args.symbolic_depth,
+        max_size=_env_int("MAGMAS_MAX_SIZE", args.max_size, SuiteConfig.max_size),
+        depth=_env_int("MAGMAS_DEPTH", args.depth, SuiteConfig.depth),
+        symbolic_depth=_env_int("MAGMAS_SYMBOLIC_DEPTH", args.symbolic_depth,
+                                SuiteConfig.symbolic_depth),
         seed=args.seed,
     )
     report = run_suite(cfg)
@@ -214,11 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suites", default="",
                     help="comma-separated suite ids (default: all); "
                          f"known: {', '.join(SUITES)}")
-    sp.add_argument("--max-size", type=int,
-                    default=_env_int("MAGMAS_MAX_SIZE", 4))
-    sp.add_argument("--depth", type=int, default=_env_int("MAGMAS_DEPTH", 3))
-    sp.add_argument("--symbolic-depth", type=int,
-                    default=_env_int("MAGMAS_SYMBOLIC_DEPTH", 8))
+    # unset options fall back to MAGMAS_* variables, read in _cmd_verify
+    sp.add_argument("--max-size", type=int)
+    sp.add_argument("--depth", type=int)
+    sp.add_argument("--symbolic-depth", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="write the report to a file")
     sp.add_argument("--format", choices=("text", "json"), default="text")

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .preorder import AtomSet, CapExceeded, PreOrder, bits
-from .topology import (downset_masks, enumerate_opens, inclusion_rows,
-                       is_lower_open, row_union)
+from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_set, mask_order
+from .topology import (downset_masks, inclusion_rows, is_lower_open, open_masks,
+                       row_union)
 
 GROWTH_CAP = 14
+PARTITION_CAP = 12  # level size past which the two-block partition search stops
 
 HF = object  # an atom label (str) or a frozenset of HF values
 
@@ -56,7 +57,7 @@ def render_value(v: HF) -> str:
         ((hf_rank(y), len(y) if isinstance(y, frozenset) else 0, render_value(y))
          for y in v)
     )
-    return "{" + ",".join(s for _, _, s in parts) + "}"
+    return format_set(s for _, _, s in parts)
 
 
 def parse_value(text: str) -> HF:
@@ -117,11 +118,10 @@ class MElem:
 class HierarchyLevel:
     """One materialized level: elements as masks over the tier below."""
 
-    def __init__(self, index: int, masks: tuple[AtomSet, ...], base_size: int,
+    def __init__(self, index: int, masks: tuple[AtomSet, ...],
                  values: tuple[frozenset, ...]):
         self.index = index
         self.masks = masks
-        self.base_size = base_size
         self.values = values
 
     def __len__(self) -> int:
@@ -202,15 +202,17 @@ class UnionReport:
 
 
 class Hierarchy:
-    """Materialized levels plus membership decisions over one pre-order."""
+    """Materialized levels plus membership decisions over one pre-order.
 
-    def __init__(self, base: PreOrder, *, opens_cap: int = 12,
-                 growth_cap: int = GROWTH_CAP):
+    Level 1 is capped by ``topology.OPENS_CAP``, level growth by growth_cap.
+    """
+
+    def __init__(self, base: PreOrder, *, growth_cap: int = GROWTH_CAP):
         self.base = base
-        self.opens_cap = opens_cap
         self.growth_cap = growth_cap
         self._levels: list[HierarchyLevel] = []
-        self._member_cache: dict[tuple[HF, int], bool] = {}
+        # value -> is it a member of level rank(value)
+        self._member_cache: dict[frozenset, bool] = {}
         self._cone_cache: dict[tuple[frozenset, int], tuple[frozenset, ...]] = {}
         self._rank_cache: dict[frozenset, int] = {}
 
@@ -236,11 +238,9 @@ class Hierarchy:
         return self._levels[:depth]
 
     def _level1(self) -> HierarchyLevel:
-        opens = enumerate_opens(self.base, cap=self.opens_cap)
-        masks = tuple(d.members for d in opens)
-        labels = self.base.labels
-        values = tuple(frozenset(labels[i] for i in bits(m)) for m in masks)
-        return HierarchyLevel(1, masks, self.base.n, values)
+        masks = tuple(open_masks(self.base))
+        values = tuple(frozenset(self.base.set_labels(m)) for m in masks)
+        return HierarchyLevel(1, masks, values)
 
     def _next(self, lv: HierarchyLevel) -> HierarchyLevel:
         k = len(lv)
@@ -248,10 +248,9 @@ class Hierarchy:
             raise CapExceeded(
                 f"level {lv.index} has {k} elements, over growth cap {self.growth_cap}"
             )
-        masks = sorted(downset_masks(lv.sub_rows, k),
-                       key=lambda s: (s.bit_count(), s))
+        masks = sorted(downset_masks(lv.sub_rows, k), key=mask_order)
         values = tuple(frozenset(lv.values[i] for i in bits(m)) for m in masks)
-        return HierarchyLevel(lv.index + 1, tuple(masks), k, values)
+        return HierarchyLevel(lv.index + 1, tuple(masks), values)
 
     # --- membership --------------------------------------------------------
 
@@ -268,23 +267,19 @@ class Hierarchy:
         """
         if n < 1:
             raise ValueError("levels are numbered from 1")
-        key = (v, n)
-        hit = self._member_cache.get(key)
-        if hit is not None:
-            return hit
-        if not isinstance(v, frozenset) or not v:
-            result = False
-        elif self.rank(v) != n:
-            # level-n members have rank exactly n; refuting early keeps
-            # deep probes from materializing levels they cannot need
-            result = False
-        elif n == 1:
-            result = self._member1(v)
-        else:
-            result = (all(self.member_level(y, n - 1) for y in v)
-                      and all(set(self._cone(y, n - 1)) <= v for y in v))
-        self._member_cache[key] = result
-        return result
+        # level-n members have rank exactly n; refuting early keeps deep
+        # probes from materializing levels they cannot need
+        if not isinstance(v, frozenset) or not v or self.rank(v) != n:
+            return False
+        hit = self._member_cache.get(v)
+        if hit is None:
+            if n == 1:
+                hit = self._member1(v)
+            else:
+                hit = (all(self.member_level(y, n - 1) for y in v)
+                       and all(set(self._cone(y, n - 1)) <= v for y in v))
+            self._member_cache[v] = hit
+        return hit
 
     def _member1(self, v: frozenset) -> bool:
         mask = 0
@@ -309,10 +304,9 @@ class Hierarchy:
         return hit
 
     def finite_level_of(self, v: HF, bound: int) -> int | None:
-        for n in range(1, bound + 1):
-            if self.member_level(v, n):
-                return n
-        return None
+        """v's finite level if at most bound, else None; a level-n member has rank n."""
+        n = self.rank(v)
+        return n if 1 <= n <= bound and self.member_level(v, n) else None
 
     def membership(self, v: HF, bound: int) -> Membership:
         """Bounded decision: finite level, limit-successor member, or neither.
@@ -323,7 +317,7 @@ class Hierarchy:
         levels the outcome is conclusive for the whole hierarchy: tiers
         past the limit successor need genuinely limit-level members.
         """
-        if isinstance(v, str) or not isinstance(v, frozenset) or not v:
+        if not isinstance(v, frozenset) or not v:
             return Membership("outside")
         n = self.finite_level_of(v, bound)
         if n is not None:
@@ -334,17 +328,13 @@ class Hierarchy:
                 return Membership("outside")
             ly = self.finite_level_of(y, bound)
             if ly is None:
-                if self.rank(y) <= bound:
-                    return Membership("outside")
-                return Membership("undecided")
+                return Membership("outside" if self.rank(y) <= bound else "undecided")
             member_levels[y] = ly
         present = sorted(set(member_levels.values()))
         if len(present) < 2:
             # one slice: finite membership was already refuted up to the
             # bound; past it we refuse to guess
-            if present[0] + 1 <= bound:
-                return Membership("outside")
-            return Membership("undecided")
+            return Membership("outside" if present[0] + 1 <= bound else "undecided")
         for k in present:
             slice_k = frozenset(y for y, ly in member_levels.items() if ly == k)
             if not self.member_level(slice_k, k + 1):
@@ -367,8 +357,7 @@ class Hierarchy:
         mem = self.membership(v, bound)
         union = hf_union(v) if isinstance(v, frozenset) else frozenset()
         umem = self.membership(union, bound)
-        decided = (mem.in_m
-                   and umem.kind != "undecided")
+        decided = mem.in_m and umem.kind != "undecided"
         tier = self._criterion_tier(v, mem)
         crit_union = umem.in_m
         unmixed = self._criterion_unmixed(v, mem, bound)
@@ -379,14 +368,11 @@ class Hierarchy:
             return mem.level >= 2
         if mem.kind == "limit":
             # two steps above the limit: members must clear the bottom
-            # level and their inclusion cones must close up inside v
-            levels = {}
-            for y in v:
-                ly = self.finite_level_of(y, max(mem.slice_levels))
-                if ly is None or ly < 2:
-                    return False
-                levels[y] = ly
-            return all(set(self._cone(y, ly)) <= v for y, ly in levels.items())
+            # level and their inclusion cones must close up inside v; each
+            # member of a limit member sits at the level of its rank
+            if any(self.rank(y) < 2 for y in v):
+                return False
+            return all(set(self._cone(y, self.rank(y))) <= v for y in v)
         return False
 
     def _criterion_unmixed(self, v: HF, mem: Membership, bound: int) -> bool:
@@ -394,7 +380,7 @@ class Hierarchy:
             return False
         member_levels = []
         for y in v:
-            ly = self.finite_level_of(y, bound) if isinstance(y, frozenset) else None
+            ly = self.finite_level_of(y, bound)
             if ly is None:
                 return False
             member_levels.append(ly)
@@ -446,10 +432,9 @@ def basic_open_partition_free(p: PreOrder) -> list[int]:
             if find_open_partition(p.pred, p.pred[a]) is not None]
 
 
-def level_basic_open_partition_free(lv: HierarchyLevel, *, space_cap: int = 12
-                                    ) -> list[int]:
+def level_basic_open_partition_free(lv: HierarchyLevel) -> list[int]:
     """Same check for the basic opens of one materialized level's space."""
-    if len(lv) > space_cap:
+    if len(lv) > PARTITION_CAP:
         raise CapExceeded(f"level of size {len(lv)} over partition-search cap")
     rows = lv.sub_rows
     return [i for i in range(len(lv))

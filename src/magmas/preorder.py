@@ -35,6 +35,11 @@ def bits(mask: AtomSet) -> Iterator[int]:
         mask ^= low
 
 
+def mask_order(mask: AtomSet) -> tuple[int, int]:
+    """Sort key of the canonical mask order: size, then bit pattern."""
+    return mask.bit_count(), mask
+
+
 @dataclass(frozen=True, slots=True)
 class PreOrder:
     """A carrier of labeled atoms plus a predecessor-mask relation.
@@ -348,5 +353,10 @@ def parse_atom_set(p: PreOrder, text: str) -> AtomSet:
     return p.atom_set(body.split())
 
 
+def format_set(parts: Iterable[str]) -> str:
+    """Brace a rendered member list: ``{a,b}``."""
+    return "{" + ",".join(parts) + "}"
+
+
 def format_atom_set(p: PreOrder, mask: AtomSet) -> str:
-    return "{" + ",".join(p.set_labels(mask)) + "}"
+    return format_set(p.set_labels(mask))

@@ -3,18 +3,21 @@
 The shifted relation compares subsets by simulation: x is below y when
 every member of x depends on some member of y. On open sets the shifted
 relation collapses to plain inclusion, which is what makes the level
-construction in :mod:`magmas.hierarchy` work.
+construction in :mod:`magmas.hierarchy` work. Caps are module constants:
+``SHIFT_CAP`` atoms for :func:`pr_plus` and :func:`shifted_is_total`,
+``LIFTED_OPENS_CAP`` open sets for :func:`shifted_opens_match`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .preorder import AtomSet, CapExceeded, PreOrder
+from .preorder import AtomSet, CapExceeded, PreOrder, format_atom_set, mask_order
 from .topology import (down_closure, downset_masks, inclusion_rows, is_lower_open,
                        open_masks)
 
 SHIFT_CAP = 12
+LIFTED_OPENS_CAP = 22
 
 
 def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
@@ -25,14 +28,15 @@ def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
     return not x & ~down_closure(p, y)
 
 
-def pr_plus(p: PreOrder, x: AtomSet, *, cap: int = SHIFT_CAP) -> list[AtomSet]:
+def pr_plus(p: PreOrder, x: AtomSet) -> list[AtomSet]:
     """All subsets y of the carrier (the empty one included) below x."""
-    if p.n > cap:
-        raise CapExceeded(f"carrier size {p.n} exceeds shift materialization cap {cap}")
+    if p.n > SHIFT_CAP:
+        raise CapExceeded(
+            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
     # shift_leq(p, y, x) for every y, with x's closure computed once
     closure = down_closure(p, x)
     out = [y for y in range(1 << p.n) if not y & ~closure]
-    out.sort(key=lambda s: (s.bit_count(), s))
+    out.sort(key=mask_order)
     return out
 
 
@@ -45,7 +49,7 @@ def powerset_masks(x: AtomSet) -> list[AtomSet]:
         if s == 0:
             break
         s = (s - 1) & x
-    subs.sort(key=lambda m: (m.bit_count(), m))
+    subs.sort(key=mask_order)
     return subs
 
 
@@ -61,22 +65,19 @@ class ConnectionCheck:
         return self.subset_dir and self.equality_when_open
 
 
-def check_connection(p: PreOrder, x: AtomSet, *, cap: int = SHIFT_CAP) -> ConnectionCheck:
-    cone = pr_plus(p, x, cap=cap)
+def check_connection(p: PreOrder, x: AtomSet) -> ConnectionCheck:
+    cone = pr_plus(p, x)
     power = powerset_masks(x)
     cone_set = set(cone)
     subset_dir = all(y in cone_set for y in power)
-    if is_lower_open(p, x):
-        equality = cone == power
-    else:
-        equality = True
-    return ConnectionCheck(subset_dir, equality)
+    return ConnectionCheck(subset_dir, not is_lower_open(p, x) or cone == power)
 
 
-def shifted_is_total(p: PreOrder, *, cap: int = SHIFT_CAP) -> bool:
+def shifted_is_total(p: PreOrder) -> bool:
     """Totality of the shifted relation over all subset pairs."""
-    if p.n > cap:
-        raise CapExceeded(f"carrier size {p.n} exceeds shift materialization cap {cap}")
+    if p.n > SHIFT_CAP:
+        raise CapExceeded(
+            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
     closures = [down_closure(p, s) for s in range(1 << p.n)]
     for x in range(1 << p.n):
         for y in range(x):
@@ -85,15 +86,15 @@ def shifted_is_total(p: PreOrder, *, cap: int = SHIFT_CAP) -> bool:
     return True
 
 
-def shifted_opens_match(p: PreOrder, *, cap: int = SHIFT_CAP) -> bool:
+def shifted_opens_match(p: PreOrder) -> bool:
     """Do the shifted relation and inclusion induce the same topology on M1?
 
     Enumerates the lower-open families of (M1, shifted) and (M1, subset)
     and compares them set-for-set.
     """
-    opens = open_masks(p, cap=cap)
+    opens = open_masks(p)
     k = len(opens)
-    if k > 22:
+    if k > LIFTED_OPENS_CAP:
         raise CapExceeded(f"{k} open sets is too many to re-enumerate over")
     shift_rows = []
     for xj in opens:
@@ -109,11 +110,11 @@ def shifted_opens_match(p: PreOrder, *, cap: int = SHIFT_CAP) -> bool:
     return lo_shift == lo_subset
 
 
-def preorder_of_opens(p: PreOrder, *, cap: int = SHIFT_CAP) -> PreOrder:
+def preorder_of_opens(p: PreOrder) -> PreOrder:
     """The open-set family of p as a pre-order under inclusion.
 
     Pseudo-atom labels are the rendered open sets.
     """
-    opens = open_masks(p, cap=cap)
-    labels = tuple("{" + ",".join(p.set_labels(s)) + "}" for s in opens)
+    opens = open_masks(p)
+    labels = tuple(format_atom_set(p, s) for s in opens)
     return PreOrder(labels, inclusion_rows(opens))

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .preorder import AtomSet, CapExceeded, PreOrder, bits
+from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_atom_set, mask_order
 
-OPENS_CAP = 12
+OPENS_CAP = 12  # carrier size past which open_masks walks too many subsets
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class DownSet:
         return self.base.set_labels(self.members)
 
     def __repr__(self) -> str:
-        return "{" + ",".join(self.labels()) + "}"
+        return format_atom_set(self.base, self.members)
 
 
 def row_union(rows: Sequence[AtomSet], s: AtomSet) -> AtomSet:
@@ -124,7 +124,7 @@ def open_masks(p: PreOrder, *, cap: int = OPENS_CAP) -> list[AtomSet]:
     """Masks of the nonempty lower-open subsets, sorted by size then bit pattern."""
     if p.n > cap:
         raise CapExceeded(f"carrier size {p.n} exceeds open-enumeration cap {cap}")
-    return sorted(downset_masks(p.pred, p.n), key=lambda s: (s.bit_count(), s))
+    return sorted(downset_masks(p.pred, p.n), key=mask_order)
 
 
 def enumerate_opens(p: PreOrder, *, cap: int = OPENS_CAP) -> list[DownSet]:
@@ -160,7 +160,7 @@ def minimal_opens(p: PreOrder) -> list[DownSet]:
     """
     outside = ~p.full_mask
     cones = [s for s in set(p.pred) if not s & outside and is_minimal_open(p, s)]
-    return [DownSet(p, s) for s in sorted(cones, key=lambda s: (s.bit_count(), s))]
+    return [DownSet(p, s) for s in sorted(cones, key=mask_order)]
 
 
 def is_saturated(p: PreOrder, s: AtomSet) -> bool:

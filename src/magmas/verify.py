@@ -23,7 +23,7 @@ from . import hierarchy as hm
 from . import shifting as sh
 from . import symbolic as sym
 from . import topology as tp
-from .preorder import (AtomSet, CapExceeded, PreOrder, bits, build,
+from .preorder import (ENUM_HARD_CAP, AtomSet, CapExceeded, PreOrder, bits, build,
                        enumerate_preorders, format_atom_set, format_preorder)
 
 HIER_GROWTH_CAP = 20  # |M2| reaches 18 on the 3-atom antichain
@@ -46,8 +46,9 @@ class SuiteConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 1 <= self.max_size <= 5:
-            raise ConfigError(f"max_size must be in 1..5, got {self.max_size}")
+        if not 1 <= self.max_size <= ENUM_HARD_CAP:
+            raise ConfigError(
+                f"max_size must be in 1..{ENUM_HARD_CAP}, got {self.max_size}")
         if self.depth < 1:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
         if self.symbolic_depth < 3:
@@ -98,12 +99,16 @@ class Counterexample:
             if (set(config) - set(RECORDED_CONFIG)
                     or not all(type(v) is int for v in config.values())):
                 raise TypeError(f"bad config {config!r}")
+            labels, rows = tuple(blob.get("labels", ())), tuple(blob.get("rows", ()))
+            # one row per label; bits outside the carrier stay for fault injection
+            if len(rows) != len(labels) or any(type(r) is not int or r < 0 for r in rows):
+                raise ValueError(f"bad rows {list(rows)!r} for {len(labels)} labels")
             return Counterexample(
                 suite=blob["suite"],
                 model=blob["model"],
                 model_text=blob.get("model_text", ""),
-                labels=tuple(blob.get("labels", ())),
-                rows=tuple(blob.get("rows", ())),
+                labels=labels,
+                rows=rows,
                 witness=dict(blob.get("witness", {})),
                 message=blob.get("message", ""),
                 config=config,
@@ -155,7 +160,7 @@ class RunContext:
         for n in range(1, max_n + 1):
             if n not in self._models:
                 models = []
-                for idx, p in enumerate(enumerate_preorders(n, bound=5)):
+                for idx, p in enumerate(enumerate_preorders(n, bound=ENUM_HARD_CAP)):
                     if self.model_hook is not None:
                         p = self.model_hook(p)
                     models.append((f"n={n}#{idx}", p))
@@ -365,12 +370,8 @@ def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[d
     return []
 
 
-def _hier_depth(ctx: RunContext) -> int:
-    return max(1, ctx.cfg.depth)
-
-
 def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    depth = _hier_depth(ctx)
+    depth = ctx.cfg.depth
     h = ctx.hierarchy(p)
     levels = h.build(depth)
     out = []
@@ -404,7 +405,7 @@ def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]
 
 
 def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    depth = _hier_depth(ctx)
+    depth = ctx.cfg.depth
     h = ctx.hierarchy(p)
     levels = h.build(depth)
     out = []
@@ -448,7 +449,7 @@ def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_subsets_in_m_open(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    depth = _hier_depth(ctx)
+    depth = ctx.cfg.depth
     h = ctx.hierarchy(p)
     levels = h.build(depth)
     rng = ctx.rng("subsets-in-m-are-open", name)
@@ -517,7 +518,7 @@ def _direct_limit_successor(h: hm.Hierarchy, v, depth: int) -> bool:
 
 
 def _chk_limit_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    depth = _hier_depth(ctx)
+    depth = ctx.cfg.depth
     if depth < 2:
         return []
     h = ctx.hierarchy(p)
@@ -553,7 +554,7 @@ def _union_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
 
 
 def _chk_union_criterion(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    depth = _hier_depth(ctx)
+    depth = ctx.cfg.depth
     h = ctx.hierarchy(p)
     rng = ctx.rng("union-criterion", name)
     out = []
@@ -576,8 +577,8 @@ def _chk_basic_no_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dic
             out.append({"kind": "negative-control-failed"})
     if p.n <= HIER_MAX_N:
         h = ctx.hierarchy(p)
-        for lv in h.build(min(_hier_depth(ctx), 2)):
-            if len(lv) <= 12:
+        for lv in h.build(min(ctx.cfg.depth, 2)):
+            if len(lv) <= hm.PARTITION_CAP:
                 for i in hm.level_basic_open_partition_free(lv):
                     out.append({"kind": "level-basic-open-splits",
                                 "level": lv.index, "element": i})
@@ -595,7 +596,7 @@ def _trichotomy_corpus(p: PreOrder, h: hm.Hierarchy, depth: int,
     pool = [frozenset(rng.sample(atoms, k=rng.randint(1, len(atoms))))
             for _ in range(10)]
     for _ in range(40):
-        depth_pick = rng.randint(1, min(3, max(1, depth)))
+        depth_pick = rng.randint(1, min(3, depth))
         v = _random_hf(atoms, pool, rng, depth_pick)
         corpus.append(v)
     corpus.extend(_mixed_family(h, depth, rng, 10))
@@ -604,7 +605,7 @@ def _trichotomy_corpus(p: PreOrder, h: hm.Hierarchy, depth: int,
             corpus.append(frozenset({atoms[0], v}))  # atom/set mix
     while len(corpus) < TRICHOTOMY_CORPUS:
         corpus.append(_random_hf(atoms, pool, rng,
-                                 rng.randint(1, min(3, max(1, depth)))))
+                                 rng.randint(1, min(3, depth))))
     return corpus
 
 
@@ -636,7 +637,7 @@ def _trichotomy_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
 
 
 def _chk_trichotomy(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    depth = _hier_depth(ctx)
+    depth = ctx.cfg.depth
     h = ctx.hierarchy(p)
     rng = ctx.rng("magma-set-atom-trichotomy", name)
     out = []

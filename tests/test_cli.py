@@ -159,10 +159,13 @@ def test_verify_bad_config(capsys):
     assert code == 2 and "unknown suites" in err
 
 
-def test_env_overrides(capsys, monkeypatch):
+def test_env_overrides(capsys, monkeypatch, chain_file):
     monkeypatch.setenv("MAGMAS_MAX_SIZE", "1")
     code, out, _ = run(capsys, "verify", "--suites", "closure-idempotence")
     assert code == 0 and "models_checked: 1" in out
     monkeypatch.setenv("MAGMAS_MAX_SIZE", "zap")
     code, _, err = run(capsys, "verify", "--suites", "closure-idempotence")
     assert code == 2 and "MAGMAS_MAX_SIZE" in err
+    # the variables set verify defaults only; other commands never read them
+    code, out, _ = run(capsys, "check", chain_file)
+    assert code == 0 and "opens: 3" in out

@@ -164,6 +164,30 @@ def test_member_level_agrees_with_materialized(models_by_size):
                             assert not probe.member_level(v, other.index)
 
 
+def test_finite_level_of_is_rank(models_by_size):
+    models = [p for n in (1, 2, 3) for p in models_by_size[n]]
+    assert len(models) == 34
+    off_level = 0
+    for p in models:
+        levels = h_of(p).build(3)
+        probe = h_of(p)  # fresh caches: nothing answered by build
+        for lv in levels:
+            for v in lv.values:
+                assert probe.finite_level_of(v, 3) == lv.index
+                assert probe.finite_level_of(v, lv.index - 1) is None
+        assert probe.finite_level_of(frozenset(), 3) is None
+        assert all(probe.finite_level_of(a, 3) is None for a in p.labels)
+        # singletons and prefixes of a level that the next level lacks
+        for lv, above in zip(levels, levels[1:]):
+            vals = lv.values
+            subsets = ({frozenset([v]) for v in vals}
+                       | {frozenset(vals[:i]) for i in range(1, len(vals) + 1)})
+            for s in subsets - above.value_set:
+                assert probe.finite_level_of(s, 3) is None
+                off_level += 1
+    assert off_level > 0
+
+
 def test_membership_examples(antichain2):
     h = h_of(antichain2)
     m1um2 = frozenset(h.level(1).values) | frozenset(h.level(2).values)

@@ -138,6 +138,12 @@ def test_replay_rejects_malformed_blobs():
     with pytest.raises(ValueError):
         replay({"suite": "closure-idempotence", "model": "n=1#0",
                 "labels": [], "rows": []})
+    # one non-negative int row per label: too many, too few, a string, a
+    # negative row
+    for rows in ([1, 2, 4, 8], [1, 2], ["1", 2, 4], [1, 2, -4]):
+        with pytest.raises(ValueError):
+            replay({"suite": "closure-idempotence", "model": "n=3#0",
+                    "labels": ["a", "b", "c"], "rows": rows})
 
 
 def test_replay_symbolic_witness():
