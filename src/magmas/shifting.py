@@ -3,9 +3,10 @@
 The shifted relation compares subsets by simulation: x is below y when
 every member of x depends on some member of y. On open sets the shifted
 relation collapses to plain inclusion, which is what makes the level
-construction in :mod:`magmas.hierarchy` work. Caps are module constants:
-``SHIFT_CAP`` atoms for :func:`pr_plus` and :func:`shifted_is_total`,
-``LIFTED_OPENS_CAP`` open sets for :func:`shifted_opens_match`.
+construction in :mod:`magmas.hierarchy` work. :func:`shifted_opens_match`
+decides that collapse on the open-set family by comparing two k x k
+relations, with no enumeration. ``SHIFT_CAP`` caps the carrier of
+:func:`pr_plus` and :func:`shifted_is_total`, which walk every subset.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preorder import AtomSet, CapExceeded, PreOrder, format_atom_set, mask_order
-from .topology import (down_closure, downset_masks, inclusion_rows, is_lower_open,
-                       open_masks)
+from .topology import down_closure, inclusion_rows, is_lower_open, open_masks
 
 SHIFT_CAP = 12
-LIFTED_OPENS_CAP = 22
 
 
 def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
@@ -89,25 +88,30 @@ def shifted_is_total(p: PreOrder) -> bool:
 def shifted_opens_match(p: PreOrder) -> bool:
     """Do the shifted relation and inclusion induce the same topology on M1?
 
-    Enumerates the lower-open families of (M1, shifted) and (M1, subset)
-    and compares them set-for-set.
+    The paper's claim is that the shifted relation restricted to the open
+    sets is inclusion. Two relations on one finite set have the same
+    lower-open family exactly when their reflexive-transitive closures
+    agree (Alexandrov): the least lower-open set holding an element is its
+    cone in the closure. Inclusion is reflexive and transitive, so it is
+    its own closure. The shifted rows, with each open's own bit added, are
+    closed too wherever they lie inside inclusion: xj is below xi when xj
+    lies inside the one set ``down_closure(p, xi)``, so in a chain of such
+    steps the first open lies inside the second-to-last, hence inside the
+    set the last step tests. A step outside inclusion survives any
+    closure. So the closures agree exactly when the rows do, and the k
+    rows are compared with no walk over the 2^k candidate sets.
     """
     opens = open_masks(p)
-    k = len(opens)
-    if k > LIFTED_OPENS_CAP:
-        raise CapExceeded(f"{k} open sets is too many to re-enumerate over")
     shift_rows = []
-    for xj in opens:
-        # shift_leq(p, xi, xj) for every xi, with xj's closure computed once
-        closure = down_closure(p, xj)
-        row = 0
-        for i, xi in enumerate(opens):
-            if not xi & ~closure:
-                row |= 1 << i
+    for i, xi in enumerate(opens):
+        # shift_leq(p, xj, xi) for every xj, with xi's closure computed once
+        closure = down_closure(p, xi)
+        row = 1 << i
+        for j, xj in enumerate(opens):
+            if not xj & ~closure:
+                row |= 1 << j
         shift_rows.append(row)
-    lo_shift = list(downset_masks(tuple(shift_rows), k))
-    lo_subset = list(downset_masks(inclusion_rows(opens), k))
-    return lo_shift == lo_subset
+    return tuple(shift_rows) == inclusion_rows(opens)
 
 
 def preorder_of_opens(p: PreOrder) -> PreOrder:

@@ -123,6 +123,19 @@ def ideals_of(elements, below):
     return out
 
 
+def same_lower_open_family(rel, labels):
+    """Do the literal shift test and inclusion give the opens of rel the same ideals?
+
+    ``rel`` is a set of label pairs (a, b), meaning a <= b; it need not be
+    reflexive or transitive. The opens are its nonempty downward-closed
+    label sets; both ideal families are walked out in full.
+    """
+    opens = list(opens_of(rel, labels))
+    shift = {(x, y) for x in opens for y in opens if shift_pairs(rel, x, y)}
+    return (set(ideals_of(opens, lambda z, w: (z, w) in shift))
+            == set(ideals_of(opens, lambda z, w: z <= w)))
+
+
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     if n == k:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +7,11 @@ from hypothesis import strategies as st
 from magmas import (CapExceeded, build, check_connection, enumerate_opens,
                     open_masks, pr_plus, preorder_of_opens, shift_leq,
                     shifted_is_total, shifted_opens_match)
-from magmas.preorder import bits
+from magmas.preorder import PreOrder, bits
 from magmas.shifting import powerset_masks
 from magmas.topology import inclusion_rows
 
-from oracles import shift_pairs
+from oracles import same_lower_open_family, shift_pairs
 
 LABELS = "abcd"
 
@@ -117,9 +119,31 @@ def test_total_lifts_to_shift(models_by_size):
 
 
 def test_shifted_topology_equals_inclusion_topology(models_by_size):
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for p in models_by_size[n]:
             assert shifted_opens_match(p)
+            assert same_lower_open_family(rel_of(p), p.labels)
+
+
+def test_shifted_opens_match_on_raw_rows():
+    # unclosed or non-reflexive rows: the shifted relation on the opens is
+    # then not always inclusion, and the row comparison must still agree
+    # with the ideal walk
+    rng = random.Random(2027)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        p = PreOrder(tuple(LABELS[:n]), tuple(rng.getrandbits(n) for _ in range(n)))
+        verdict = shifted_opens_match(p)
+        assert verdict == same_lower_open_family(rel_of(p), p.labels), p
+        verdicts.append(verdict)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_shifted_opens_match_on_five_antichain():
+    p = build("abcde")
+    assert len(open_masks(p)) == 31  # 2^31 candidate sets; no walk over them
+    assert shifted_opens_match(p)
 
 
 def test_preorder_of_opens_structure(chain3):

@@ -9,8 +9,8 @@ from magmas import hierarchy as hm
 from magmas import symbolic as sym
 from magmas import topology as tp
 from magmas.preorder import PreOrder, format_atom_set, format_preorder
-from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
-                           SuiteConfig, _chk_open_family, render_report,
+from magmas.verify import (CONNECTION_CAP, ConfigError, Counterexample, RunContext,
+                           SUITES, SuiteConfig, _chk_open_family, render_report,
                            replay, report_to_json, run_suite)
 
 from oracles import open_family_witnesses
@@ -212,6 +212,18 @@ def test_cap_exceeded_noted_not_fatal():
     assert report.passed  # reported per-suite, not a failure
 
 
+def test_connection_sweep_stops_loudly_at_five_atoms():
+    # check_connection walks all 2^n subsets; the stop stays at the first
+    # five-atom model and is noted, not turned into a silent max_n
+    assert CONNECTION_CAP == 4
+    cfg = SuiteConfig(suites=("shift-powerset-connection",), max_size=5)
+    [res] = [r for r in run_suite(cfg).results if not r.skipped]
+    assert res.models_checked == 1 + 4 + 29 + 355 + 1 == 390
+    assert res.note.startswith(
+        "cap exceeded: carrier size 5 exceeds cap 4 of the check_connection sweep")
+    assert not res.failures
+
+
 def test_json_report_shape(small_report):
     blob = report_to_json(small_report)
     assert blob["passed"] is True
@@ -243,6 +255,27 @@ def test_generator_subset_fault_is_caught_and_replayed(monkeypatch):
     cx = report.failures[0]
     assert cx.suite == "generator-subset-semantics"
     assert replay(cx.to_blob()) is False
+
+
+def test_bounded_member_fault_is_caught_and_replayed(monkeypatch):
+    # drop every bounded member of one generated open: the semantic side
+    # then calls it a subset of everything, which its generators refute
+    real = sym.members_up_to
+    victim = []
+
+    def lossy(g, depth):
+        if not victim:
+            victim.append(g.generators)
+        return [] if g.generators == victim[0] else real(g, depth)
+
+    monkeypatch.setattr(sym, "members_up_to", lossy)
+    report = run_suite(SuiteConfig(suites=("generator-subset-semantics",)))
+    assert report.failures
+    blob = json.loads(json.dumps(report.failures[0].to_blob()))
+    assert blob["suite"] == "generator-subset-semantics"
+    assert replay(blob) is False
+    monkeypatch.undo()
+    assert replay(blob) is True
 
 
 def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
