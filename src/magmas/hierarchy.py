@@ -20,7 +20,6 @@ from .topology import (downset_masks, inclusion_rows, is_lower_open, open_masks,
                        row_union)
 
 GROWTH_CAP = 14
-PARTITION_CAP = 12  # level size past which the two-block partition search stops
 
 HF = object  # an atom label (str) or a frozenset of HF values
 
@@ -403,23 +402,29 @@ class Hierarchy:
 
 def find_open_partition(rows: tuple[AtomSet, ...], x: AtomSet
                         ) -> tuple[AtomSet, AtomSet] | None:
-    """Split x into two disjoint nonempty sets open w.r.t. rows, if possible.
+    """Split x into two disjoint nonempty sets open w.r.t. rows, smaller mask first.
 
-    rows[i] is the predecessor mask of element i in the ambient space;
-    exhaustive over the submasks of x.
+    rows[i] is the predecessor mask of element i in the ambient space. Two
+    disjoint opens covering x make x open, and no row of one block reaches
+    into the other. So x splits exactly when x is open (no bit outside the
+    rows) and the rows, read as undirected edges, leave x disconnected: the
+    component of x's lowest element and the rest are then the two opens.
     """
+    if x >> len(rows) or row_union(rows, x) & ~x:
+        return None
+    comp, last = x & -x, 0  # the component of x's lowest element
+    while comp != last:
+        last = comp
+        for j in bits(x):
+            if (rows[j] | 1 << j) & comp:
+                comp |= rows[j] | 1 << j
+    rest = x & ~comp
+    return (min(comp, rest), max(comp, rest)) if rest else None
 
-    def open_in_space(s: AtomSet) -> bool:
-        return not row_union(rows, s) & ~s
 
-    y1 = (x - 1) & x
-    while y1:
-        y2 = x ^ y1
-        if y1 < y2:  # each unordered split once
-            if open_in_space(y1) and open_in_space(y2):
-                return y1, y2
-        y1 = (y1 - 1) & x
-    return None
+def _split_cones(rows: tuple[AtomSet, ...]) -> list[int]:
+    return [i for i, cone in enumerate(rows)
+            if find_open_partition(rows, cone) is not None]
 
 
 def basic_open_partition_free(p: PreOrder) -> list[int]:
@@ -428,14 +433,9 @@ def basic_open_partition_free(p: PreOrder) -> list[int]:
     Empty on every model: a cone's tip must fall in one block, dragging
     the whole cone with it.
     """
-    return [a for a in range(p.n)
-            if find_open_partition(p.pred, p.pred[a]) is not None]
+    return _split_cones(p.pred)
 
 
 def level_basic_open_partition_free(lv: HierarchyLevel) -> list[int]:
     """Same check for the basic opens of one materialized level's space."""
-    if len(lv) > PARTITION_CAP:
-        raise CapExceeded(f"level of size {len(lv)} over partition-search cap")
-    rows = lv.sub_rows
-    return [i for i in range(len(lv))
-            if find_open_partition(rows, rows[i]) is not None]
+    return _split_cones(lv.sub_rows)

@@ -100,7 +100,10 @@ class Counterexample:
             if (set(config) - set(RECORDED_CONFIG)
                     or not all(type(v) is int for v in config.values())):
                 raise TypeError(f"bad config {config!r}")
-            labels, rows = tuple(blob.get("labels", ())), tuple(blob.get("rows", ()))
+            labels, rows = blob.get("labels", []), tuple(blob.get("rows", ()))
+            distinct = {a for a in labels if type(a) is str}
+            if type(labels) is not list or len(distinct) != len(labels):
+                raise ValueError(f"bad labels {labels!r}")
             # one row per label; bits outside the carrier stay for fault injection
             if len(rows) != len(labels) or any(type(r) is not int or r < 0 for r in rows):
                 raise ValueError(f"bad rows {list(rows)!r} for {len(labels)} labels")
@@ -108,7 +111,7 @@ class Counterexample:
                 suite=blob["suite"],
                 model=blob["model"],
                 model_text=blob.get("model_text", ""),
-                labels=labels,
+                labels=tuple(labels),
                 rows=rows,
                 witness=dict(blob.get("witness", {})),
                 message=blob.get("message", ""),
@@ -415,9 +418,7 @@ def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     out = []
     for lv in levels:
         rows = lv.sub_rows
-        k = len(lv)
-        for i in range(k):
-            cone = rows[i]
+        for i, cone in enumerate(rows):
             if cone == 0:
                 out.append({"kind": "empty-cone", "level": lv.index, "element": i})
                 continue
@@ -426,19 +427,18 @@ def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
                     out.append({"kind": "cone-not-open", "level": lv.index,
                                 "element": i})
                     break
-        if k <= 200:
-            for i, v in enumerate(lv.values):
-                pe = h.power_element(hm.MElem(v, lv.index))
-                expected = frozenset(lv.values[j] for j in bits(rows[i]))
-                if pe.value != expected:
-                    out.append({"kind": "power-value-mismatch", "level": lv.index,
-                                "element": i})
-                if not h.member_level(pe.value, lv.index + 1):
-                    out.append({"kind": "power-not-member", "level": lv.index,
-                                "element": i})
-                if lv.index + 1 <= depth and pe.value not in levels[lv.index].value_set:
-                    out.append({"kind": "power-not-materialized", "level": lv.index,
-                                "element": i})
+        for i, v in enumerate(lv.values):
+            pe = h.power_element(hm.MElem(v, lv.index))
+            expected = frozenset(lv.values[j] for j in bits(rows[i]))
+            if pe.value != expected:
+                out.append({"kind": "power-value-mismatch", "level": lv.index,
+                            "element": i})
+            if not h.member_level(pe.value, lv.index + 1):
+                out.append({"kind": "power-not-member", "level": lv.index,
+                            "element": i})
+            if lv.index + 1 <= depth and pe.value not in levels[lv.index].value_set:
+                out.append({"kind": "power-not-materialized", "level": lv.index,
+                            "element": i})
     # the carrier's power collapses to level 1; each whole level's power
     # collapses to the next level
     full = frozenset(p.labels)
@@ -582,10 +582,9 @@ def _chk_basic_no_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dic
     if p.n <= HIER_MAX_N:
         h = ctx.hierarchy(p)
         for lv in h.build(min(ctx.cfg.depth, 2)):
-            if len(lv) <= hm.PARTITION_CAP:
-                for i in hm.level_basic_open_partition_free(lv):
-                    out.append({"kind": "level-basic-open-splits",
-                                "level": lv.index, "element": i})
+            for i in hm.level_basic_open_partition_free(lv):
+                out.append({"kind": "level-basic-open-splits",
+                            "level": lv.index, "element": i})
     return out
 
 

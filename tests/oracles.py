@@ -102,6 +102,27 @@ def open_family_witnesses(opens, is_open):
     return out
 
 
+def mask_is_open(rows, s):
+    """Every member i of int mask s has a row, and rows[i] lies inside s."""
+    members = [i for i in range(s.bit_length()) if s >> i & 1]
+    return all(i < len(rows) and rows[i] | s == s for i in members)
+
+
+def open_split_exists(rows, x):
+    """Does int mask x split into two disjoint nonempty open masks?
+
+    A plain walk over the submasks of x that hold its lowest bit, so each
+    unordered split is tried once.
+    """
+    low = x & -x
+    y = x
+    while y:
+        y = (y - 1) & x
+        if y & low and mask_is_open(rows, y) and mask_is_open(rows, x ^ y):
+            return True
+    return False
+
+
 def minimal_of(opens):
     return {x for x in opens if not any(y < x for y in opens)}
 

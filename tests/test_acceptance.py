@@ -239,7 +239,7 @@ def test_criterion_08_partition_and_trichotomy(models_by_size):
     for name, p in all_models(models_by_size, HIER_SIZES):
         h = hierarchy_of(p)
         for lv in h.build(2):
-            if len(lv) <= 12 and level_basic_open_partition_free(lv):
+            if level_basic_open_partition_free(lv):
                 violations.append((name, "level basic open split", lv.index))
     corpus_total = 0
     for name, p in all_models(models_by_size, HIER_SIZES):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from magmas import (CapExceeded, Hierarchy, MElem, enumerate_opens,
@@ -8,7 +10,7 @@ from magmas.hierarchy import (GROWTH_CAP, basic_open_partition_free,
                               render_value)
 from magmas.preorder import bits
 
-from oracles import ideals_of
+from oracles import ideals_of, mask_is_open, open_split_exists
 
 
 def hset(*labels):
@@ -345,8 +347,9 @@ def test_basic_opens_never_partition(models_by_size):
             assert basic_open_partition_free(p) == []
 
 
-def test_level_basic_opens_never_partition(chain3, antichain2):
-    for p in (chain3, antichain2):
+def test_level_basic_opens_never_partition(chain3, antichain2, antichain3):
+    # level 2 of the 3-antichain has 18 elements
+    for p in (chain3, antichain2, antichain3):
         h = h_of(p)
         for lv in h.build(2):
             assert level_basic_open_partition_free(lv) == []
@@ -361,6 +364,33 @@ def test_antichain_negative_control(antichain2):
 
 def test_chain_basic_open_has_no_partition(chain3):
     assert find_open_partition(chain3.pred, chain3.predecessors(2)) is None
+
+
+def test_open_partition_matches_submask_walk(models_by_size):
+    cases = [(p.pred, x) for n in (1, 2, 3, 4) for p in models_by_size[n]
+             for x in range(1 << n)]
+    # raw rows: unclosed, often non-reflexive, with bit n outside the carrier
+    rng = random.Random("open-partition")
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = tuple(rng.getrandbits(n + 1) for _ in range(n))
+        cases.extend((rows, x) for x in range(1 << (n + 1)))
+    # every cone of every level space through level 2, the 18-element
+    # level of the 3-antichain included
+    for n in (1, 2, 3):
+        for p in models_by_size[n]:
+            for lv in h_of(p).build(2):
+                cases.extend((lv.sub_rows, cone) for cone in lv.sub_rows)
+    splits = 0
+    for rows, x in cases:
+        split = find_open_partition(rows, x)
+        assert (split is not None) == open_split_exists(rows, x), (rows, x)
+        if split is not None:
+            y1, y2 = split
+            assert 0 < y1 < y2 and not y1 & y2 and y1 | y2 == x
+            assert mask_is_open(rows, y1) and mask_is_open(rows, y2)
+            splits += 1
+    assert 0 < splits < len(cases)
 
 
 def test_classify(antichain2):

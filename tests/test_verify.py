@@ -144,6 +144,11 @@ def test_replay_rejects_malformed_blobs():
         with pytest.raises(ValueError):
             replay({"suite": "closure-idempotence", "model": "n=3#0",
                     "labels": ["a", "b", "c"], "rows": rows})
+    # labels are a list of distinct strings: not a string, not ints, no repeats
+    for labels in ("ab", [1, 2], ["a", "a"]):
+        with pytest.raises(ValueError, match="malformed counterexample blob"):
+            replay({"suite": "closure-idempotence", "model": "n=2#0",
+                    "labels": labels, "rows": [1, 2]})
 
 
 def test_replay_symbolic_witness():
@@ -358,6 +363,26 @@ def test_check_exception_is_a_counterexample(monkeypatch):
     assert cx.rows == (0b01, 0b11)
     assert "counterexample_1:" in render_report(report)
     blob = json.loads(json.dumps(cx.to_blob()))
+    assert replay(blob) is False
+    monkeypatch.undo()
+    assert replay(blob) is True
+
+
+def test_every_level_space_is_searched_for_open_splits(monkeypatch):
+    # report a split on any 18-row family: only level 2 of the 3-antichain
+    # has 18 elements among the level spaces at n <= 3
+    real = hm.find_open_partition
+
+    def forged(rows, x):
+        return (0, x) if len(rows) == 18 else real(rows, x)
+
+    monkeypatch.setattr(hm, "find_open_partition", forged)
+    report = run_suite(SuiteConfig(suites=("basic-open-no-partition",), max_size=3))
+    assert report.failures
+    assert {(cx.labels, cx.rows) for cx in report.failures} == {(("a", "b", "c"), (1, 2, 4))}
+    assert {cx.witness["kind"] for cx in report.failures} == {"level-basic-open-splits"}
+    assert {cx.witness["level"] for cx in report.failures} == {2}
+    blob = json.loads(json.dumps(report.failures[0].to_blob()))
     assert replay(blob) is False
     monkeypatch.undo()
     assert replay(blob) is True
