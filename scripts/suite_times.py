@@ -7,9 +7,10 @@ directory, as `bench_pair.py` does. Then runs `run_suite` (every suite,
 seed 0) at --max-size --runs times on each side, each run in a fresh
 process and one process at a time. The side that runs first alternates
 from run to run, so drift in the host's speed falls on both sides alike.
-Prints each side's median seconds per suite and for the whole
-`run_suite` call, with the checkout's median as a ratio of the base's.
-Writes no file.
+Prints each side's median seconds and `models_checked` per suite, and
+the median seconds of the whole `run_suite` call, with the checkout's
+median as a ratio of the base's, so a coverage change shows next to what
+it costs. Writes no file.
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ start = time.perf_counter()
 report = run_suite(SuiteConfig(max_size=int(sys.argv[1])))
 total = time.perf_counter() - start
 print(json.dumps({"suites": {r.suite_id: r.seconds for r in report.results},
+                  "models": {r.suite_id: r.models_checked for r in report.results},
                   "total": total}))
 """
 
 
 def times(root: Path, max_size: int) -> dict:
-    """Suite seconds and the whole call's seconds of one run in the tree at root."""
+    """Suite seconds, suite models_checked and the whole call's seconds of one
+    run in the tree at root."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run([sys.executable, "-c", PROGRAM, str(max_size)], cwd=root,
                          env=env, capture_output=True, text=True, timeout=900, check=True)
@@ -76,12 +79,18 @@ def main() -> int:
     suites += [s for s in runs["base"][0]["suites"] if s not in suites]
     print(f"\nmedians of {args.runs} runs per side, max_size {args.max_size}, "
           f"base {sha[:12]}")
-    print(f"{'suite':40s} {'base s':>9s} {'change s':>9s} {'ratio':>7s}")
+    print(f"{'suite':40s} {'base s':>9s} {'models':>7s} {'change s':>9s} {'models':>7s} "
+          f"{'ratio':>7s}")
     for suite in suites + [None]:
         b, c = median("base", suite), median("change", suite)
         ratio = f"{c / b:7.2f}" if b and c is not None else f"{'-':>7s}"
-        cells = [f"{v:9.3f}" if v is not None else f"{'-':>9s}" for v in (b, c)]
-        print(f"{suite or 'run_suite total':40s} {cells[0]} {cells[1]} {ratio}")
+        cells = []
+        for side, v in (("base", b), ("change", c)):
+            # models_checked is deterministic, so one run of a side gives it
+            m = runs[side][0]["models"].get(suite) if suite else None
+            cells.append(f"{v:9.3f}" if v is not None else f"{'-':>9s}")
+            cells.append(f"{m:7d}" if m is not None else f"{'-':>7s}")
+        print(f"{suite or 'run_suite total':40s} {' '.join(cells)} {ratio}")
     return 0
 
 

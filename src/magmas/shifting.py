@@ -5,8 +5,11 @@ every member of x depends on some member of y. On open sets the shifted
 relation collapses to plain inclusion, which is what makes the level
 construction in :mod:`magmas.hierarchy` work. :func:`shifted_opens_match`
 decides that collapse on the open-set family by comparing two k x k
-relations, with no enumeration. ``SHIFT_CAP`` caps the carrier of
-:func:`pr_plus` and :func:`shifted_is_total`, which walk every subset.
+relations, with no enumeration. :func:`check_connection` compares every
+subset's shifted cone with its powerset in one sweep per model, each
+family of subsets held as one 2^n-bit int. ``SHIFT_CAP`` caps the carrier
+of :func:`pr_plus`, :func:`check_connection` and :func:`shifted_is_total`,
+which walk every subset.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preorder import AtomSet, CapExceeded, PreOrder, format_atom_set, mask_order
-from .topology import down_closure, inclusion_rows, is_lower_open, open_masks
+from .topology import down_closure, inclusion_rows, open_masks
 
 SHIFT_CAP = 12
 
@@ -64,12 +67,53 @@ class ConnectionCheck:
         return self.subset_dir and self.equality_when_open
 
 
-def check_connection(p: PreOrder, x: AtomSet) -> ConnectionCheck:
-    cone = pr_plus(p, x)
-    power = powerset_masks(x)
-    cone_set = set(cone)
-    subset_dir = all(y in cone_set for y in power)
-    return ConnectionCheck(subset_dir, not is_lower_open(p, x) or cone == power)
+def check_connection(p: PreOrder) -> list[tuple[AtomSet, ConnectionCheck]]:
+    """The subsets x of the carrier whose shifted cone fails against P(x).
+
+    One sweep over all 2^n subsets in increasing order. A family of
+    subsets is one 2^n-bit int whose bit y stands for subset y (Knuth's
+    broadword set families, TAOCP 4A 7.1.3). The two sides are built
+    apart:
+
+    - the cone of x from the definition of the shifted relation: y is
+      below x exactly when y avoids every atom outside x's closure, so
+      the cone is the AND of the "avoids b" families over those atoms;
+      x depends on its closure alone, so each distinct closure builds
+      its cone once (on a pre-order, one per open set and the empty one);
+    - the powerset of x from x minus its lowest bit: each old member
+      stays, and each gains that bit.
+
+    Returns each failing x with its record, in increasing order of x.
+    """
+    if p.n > SHIFT_CAP:
+        raise CapExceeded(
+            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
+    n, pred = p.n, p.pred
+    every = (1 << (1 << n)) - 1
+    # avoid[b]: the subsets without atom b, runs of 2^b ones every 2^(b+1) bits
+    avoid = [every // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
+    closure = [0] * (1 << n)
+    power = [1] * (1 << n)  # power[0] holds the empty set alone
+    cones: dict[AtomSet, int] = {}
+    failing = []
+    # x = 0 always passes: its closure is empty, so its cone is power[0]
+    for x in range(1, 1 << n):
+        low = x & -x
+        c = closure[x] = closure[x ^ low] | pred[low.bit_length() - 1]
+        f = power[x ^ low]
+        px = power[x] = f | f << low
+        cone = cones.get(c)
+        if cone is None:
+            cone = every
+            for b in range(n):
+                if not c >> b & 1:
+                    cone &= avoid[b]
+            cones[c] = cone
+        subset_dir = not px & ~cone
+        equality_when_open = bool(c & ~x) or px == cone
+        if not (subset_dir and equality_when_open):
+            failing.append((x, ConnectionCheck(subset_dir, equality_when_open)))
+    return failing
 
 
 def shifted_is_total(p: PreOrder) -> bool:

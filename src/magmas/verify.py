@@ -28,7 +28,6 @@ from .preorder import (ENUM_HARD_CAP, AtomSet, CapExceeded, PreOrder, bits, buil
 
 HIER_GROWTH_CAP = 20  # |M2| reaches 18 on the 3-atom antichain
 HIER_MAX_N = 3
-CONNECTION_CAP = 4  # carrier size of shift-powerset-connection's all-subsets sweep
 SHIFT_LAW_MAX_N = 3
 MIXED_FAMILY_SIZE = 20
 TRICHOTOMY_CORPUS = 100
@@ -107,15 +106,18 @@ class Counterexample:
             # one row per label; bits outside the carrier stay for fault injection
             if len(rows) != len(labels) or any(type(r) is not int or r < 0 for r in rows):
                 raise ValueError(f"bad rows {list(rows)!r} for {len(labels)} labels")
+            texts = {"suite": blob["suite"], "model": blob["model"],
+                     "model_text": blob.get("model_text", ""),
+                     "message": blob.get("message", "")}
+            bad = {k: v for k, v in texts.items() if type(v) is not str}
+            if bad:
+                raise TypeError(f"non-string {', '.join(bad)} {list(bad.values())!r}")
             return Counterexample(
-                suite=blob["suite"],
-                model=blob["model"],
-                model_text=blob.get("model_text", ""),
                 labels=tuple(labels),
                 rows=rows,
                 witness=dict(blob.get("witness", {})),
-                message=blob.get("message", ""),
                 config=config,
+                **texts,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed counterexample blob: {exc}") from exc
@@ -353,16 +355,10 @@ def _chk_shift_total(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    if p.n > CONNECTION_CAP:
-        raise CapExceeded(f"carrier size {p.n} exceeds cap {CONNECTION_CAP} of the "
-                          "check_connection sweep over all subsets")
-    out = []
-    for x in range(1 << p.n):
-        c = sh.check_connection(p, x)
-        if not c.ok:
-            out.append({"x": format_atom_set(p, x),
-                        "subset_dir": c.subset_dir,
-                        "equality_when_open": c.equality_when_open})
+    out = [{"x": format_atom_set(p, x),
+            "subset_dir": c.subset_dir,
+            "equality_when_open": c.equality_when_open}
+           for x, c in sh.check_connection(p)]
     if not sh.shifted_opens_match(p):
         out.append({"kind": "induced-topologies-differ"})
     return out

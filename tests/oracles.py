@@ -132,6 +132,34 @@ def shift_pairs(rel, x, y):
     return all(any((a, b) in rel for b in y) for a in x)
 
 
+def powerset_of(s):
+    """Every subset of s, the empty one included, as frozensets."""
+    s = sorted(s)
+    return {frozenset(c) for r in range(len(s) + 1) for c in itertools.combinations(s, r)}
+
+
+def connection_failures(rel, carrier):
+    """The subsets x of the carrier whose literal shifted cone fails against P(x).
+
+    ``rel`` is a set of label pairs (a, b), meaning a <= b; it need not be
+    reflexive or transitive, and a may lie outside the carrier. The cone
+    of x holds every subset y of the carrier with ``shift_pairs(rel, y, x)``.
+    x is open when each a with (a, b) in rel for some b in x lies in x.
+    Returns {x: (subset_dir, equality_when_open)} over the failing x.
+    """
+    subsets = powerset_of(carrier)
+    out = {}
+    for x in subsets:
+        cone = {y for y in subsets if shift_pairs(rel, y, x)}
+        power = powerset_of(x)
+        is_open = all(a in x for (a, b) in rel if b in x)
+        subset_dir = power <= cone
+        equality_when_open = not is_open or cone == power
+        if not (subset_dir and equality_when_open):
+            out[x] = (subset_dir, equality_when_open)
+    return out
+
+
 def ideals_of(elements, below):
     """Nonempty downward-closed subsets of an abstract finite poset."""
     elements = list(elements)

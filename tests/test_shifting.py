@@ -11,7 +11,7 @@ from magmas.preorder import PreOrder, bits
 from magmas.shifting import powerset_masks
 from magmas.topology import inclusion_rows
 
-from oracles import same_lower_open_family, shift_pairs
+from oracles import connection_failures, same_lower_open_family, shift_pairs
 
 LABELS = "abcd"
 
@@ -83,16 +83,37 @@ def test_pr_plus_cap():
         pr_plus(wide, 1)
 
 
-def test_connection_examples(models_by_size):
+def test_connection_examples():
     p = build("ab", [("a", "b")])
     not_open = p.atom_set("b")
-    c = check_connection(p, not_open)
-    assert c.subset_dir and c.equality_when_open  # vacuous for non-open x
     assert pr_plus(p, not_open) != powerset_masks(not_open)
-    for n in (1, 2, 3):
-        for q in models_by_size[n]:
-            for x in range(1 << q.n):
-                assert check_connection(q, x).ok
+    assert check_connection(p) == []  # vacuous for non-open x
+    # with no reflexive bits every nonempty x is open and misses itself
+    bare = PreOrder(("a", "b"), (0, 0))
+    assert [(x, c.subset_dir, c.equality_when_open, c.ok)
+            for x, c in check_connection(bare)] == [
+        (1, False, False, False), (2, False, False, False), (3, False, False, False)]
+
+
+def test_connection_matches_literal_cone(models_by_size):
+    for n in (1, 2, 3, 4):
+        for p in models_by_size[n]:
+            assert check_connection(p) == []
+    # raw rows: unclosed, mostly non-reflexive, with bit n outside the carrier
+    names = "abcde"
+    rng = random.Random("connection")
+    failing = 0
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        rows = tuple(rng.getrandbits(n + 1) for _ in range(n))
+        p = PreOrder(tuple(names[:n]), rows)
+        rel = {(names[a], names[b]) for b in range(n) for a in bits(rows[b])}
+        found = check_connection(p)
+        assert [x for x, _ in found] == sorted(x for x, _ in found)
+        got = {to_labels(p, x): (c.subset_dir, c.equality_when_open) for x, c in found}
+        assert got == connection_failures(rel, p.labels), rows
+        failing += bool(got)
+    assert 1000 < failing < 2000
 
 
 def test_shift_transitive_exhaustive(models_by_size):

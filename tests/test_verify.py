@@ -9,9 +9,9 @@ from magmas import hierarchy as hm
 from magmas import symbolic as sym
 from magmas import topology as tp
 from magmas.preorder import PreOrder, format_atom_set, format_preorder
-from magmas.verify import (CONNECTION_CAP, ConfigError, Counterexample, RunContext,
-                           SUITES, SuiteConfig, _chk_open_family, render_report,
-                           replay, report_to_json, run_suite)
+from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
+                           SuiteConfig, _chk_open_family, render_report, replay,
+                           report_to_json, run_suite)
 
 from oracles import open_family_witnesses
 
@@ -149,6 +149,16 @@ def test_replay_rejects_malformed_blobs():
         with pytest.raises(ValueError, match="malformed counterexample blob"):
             replay({"suite": "closure-idempotence", "model": "n=2#0",
                     "labels": labels, "rows": [1, 2]})
+    # suite, model, model_text and message are strings
+    with pytest.raises(ValueError, match="malformed counterexample blob"):
+        replay({"suite": "generator-subset-semantics", "model": 5})
+    good = {"suite": "closure-idempotence", "model": "n=1#0", "model_text": "",
+            "labels": ["a"], "rows": [1], "message": ""}
+    for key in ("suite", "model", "model_text", "message"):
+        for value in (None, 5, ["n=1#0"]):
+            with pytest.raises(ValueError, match="malformed counterexample blob"):
+                replay(dict(good, **{key: value}))
+    assert replay(good) is True
 
 
 def test_replay_symbolic_witness():
@@ -217,15 +227,11 @@ def test_cap_exceeded_noted_not_fatal():
     assert report.passed  # reported per-suite, not a failure
 
 
-def test_connection_sweep_stops_loudly_at_five_atoms():
-    # check_connection walks all 2^n subsets; the stop stays at the first
-    # five-atom model and is noted, not turned into a silent max_n
-    assert CONNECTION_CAP == 4
+def test_connection_sweep_checks_every_five_atom_model():
     cfg = SuiteConfig(suites=("shift-powerset-connection",), max_size=5)
     [res] = [r for r in run_suite(cfg).results if not r.skipped]
-    assert res.models_checked == 1 + 4 + 29 + 355 + 1 == 390
-    assert res.note.startswith(
-        "cap exceeded: carrier size 5 exceeds cap 4 of the check_connection sweep")
+    assert res.models_checked == 1 + 4 + 29 + 355 + 6942 == 7331
+    assert res.note == ""
     assert not res.failures
 
 
