@@ -10,6 +10,14 @@ alternates from pair to pair, so drift in the host's speed falls on both
 sides alike. The run length is `run_seconds` from this checkout's
 `BENCHMARK.json`, the same for both sides.
 
+Each side reads and writes bytecode only under its own fresh
+`PYTHONPYCACHEPREFIX` (with `PYTHONDONTWRITEBYTECODE` unset), never in a
+`__pycache__` of its tree, and makes one untimed warm-up run before the
+pairs start. So both sides run from the same, complete bytecode state,
+whatever stale `.pyc` files the checkout holds and whether or not the
+shell lets Python write bytecode: a tree with bytecode against an export
+without it reads as a set-up and memory change that no source edit made.
+
 The result is merged into `BENCH_<pr>.json` at the root of the checkout,
 under the key "<workload> trace=<t> seeds=<first>-<last>": every run's
 metrics, each side's median and quartiles per metric, and for each
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -35,12 +44,21 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from baseline import seeds_arg, summarise  # noqa: E402
 
 
-def run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def side_env(pycache: Path, **extra: str) -> dict[str, str]:
+    """The environment of one side's runs: bytecode is read from and
+    written to the prefix pycache only, never to the tree."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache), **extra)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run(root: Path, env: dict[str, str], workload: str, seed: int, seconds: int,
+        trace: int) -> dict:
     """One benchmark run in the checkout at root; its final JSON line."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, timeout=900, check=True)
+        cwd=root, env=env, capture_output=True, text=True, timeout=900, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -90,16 +108,22 @@ def main() -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp)
+        tmp = Path(tmp)
+        base_root = tmp / "tree"
+        base_root.mkdir()
         sha = export(args.base, base_root)
+        sides = {"base": (base_root, side_env(tmp / "pycache-base")),
+                 "change": (ROOT, side_env(tmp / "pycache-change"))}
+        for root, env in sides.values():  # warm-up: fills the side's pycache
+            run(root, env, args.workload, args.seeds[0], 1, args.trace)
         for i, seed in enumerate(args.seeds):
-            order = [("base", base_root), ("change", ROOT)]
+            order = ["base", "change"]
             if i % 2:
                 order.reverse()
-            res = {side: {"seed": seed, "first": order[0][0],
-                          **run(where, args.workload, seed, spec["run_seconds"],
+            res = {side: {"seed": seed, "first": order[0],
+                          **run(*sides[side], args.workload, seed, spec["run_seconds"],
                                 args.trace)}
-                   for side, where in order}
+                   for side in order}
             pairs.append((res["base"], res["change"]))
             print(f"seed {seed}: " + "  ".join(
                 f"{side} correct={r['correct']} failed={r['failed']}"

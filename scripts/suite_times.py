@@ -10,21 +10,22 @@ from run to run, so drift in the host's speed falls on both sides alike.
 Prints each side's median seconds and `models_checked` per suite, and
 the median seconds of the whole `run_suite` call, with the checkout's
 median as a ratio of the base's, so a coverage change shows next to what
-it costs. Writes no file.
+it costs. As in `bench_pair.py`, each side keeps its bytecode under its
+own fresh `PYTHONPYCACHEPREFIX` and makes one untimed warm-up run first.
+Writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_pair import ROOT, export
+from bench_pair import ROOT, export, side_env
 
 # Run inside a tree with its src/ first on the path; prints one JSON line.
 PROGRAM = """
@@ -39,10 +40,9 @@ print(json.dumps({"suites": {r.suite_id: r.seconds for r in report.results},
 """
 
 
-def times(root: Path, max_size: int) -> dict:
+def times(root: Path, env: dict[str, str], max_size: int) -> dict:
     """Suite seconds, suite models_checked and the whole call's seconds of one
     run in the tree at root."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run([sys.executable, "-c", PROGRAM, str(max_size)], cwd=root,
                          env=env, capture_output=True, text=True, timeout=900, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -58,14 +58,21 @@ def main() -> int:
         ap.error("--runs must be at least 1")
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="suite-times-base-") as tmp:
-        base_root = Path(tmp)
+        tmp = Path(tmp)
+        base_root = tmp / "tree"
+        base_root.mkdir()
         sha = export(args.base, base_root)
+        sides = {side: (root, side_env(tmp / f"pycache-{side}",
+                                       PYTHONPATH=str(root / "src")))
+                 for side, root in (("base", base_root), ("change", ROOT))}
+        for root, env in sides.values():  # warm-up: fills the side's pycache
+            times(root, env, 1)
         for i in range(args.runs):
-            order = [("base", base_root), ("change", ROOT)]
+            order = ["base", "change"]
             if i % 2:
                 order.reverse()
-            for side, where in order:
-                runs[side].append(times(where, args.max_size))
+            for side in order:
+                runs[side].append(times(*sides[side], args.max_size))
             print(f"run {i + 1}: base {runs['base'][-1]['total']:.3f} s  "
                   f"change {runs['change'][-1]['total']:.3f} s", flush=True)
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 bad input or
-configuration. Caps for the verify command can also be set through the
+Exit codes: 0 no check failed (a verify suite whose models hit a cap
+reports ``status: partial`` and still exits 0), 1 a verification failed,
+2 bad input or configuration. Caps for the verify command can also be set through the
 environment: MAGMAS_MAX_SIZE, MAGMAS_DEPTH, MAGMAS_SYMBOLIC_DEPTH.
 """
 

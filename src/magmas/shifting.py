@@ -3,13 +3,13 @@
 The shifted relation compares subsets by simulation: x is below y when
 every member of x depends on some member of y. On open sets the shifted
 relation collapses to plain inclusion, which is what makes the level
-construction in :mod:`magmas.hierarchy` work. :func:`shifted_opens_match`
-decides that collapse on the open-set family by comparing two k x k
-relations, with no enumeration. :func:`check_connection` compares every
-subset's shifted cone with its powerset in one sweep per model, each
-family of subsets held as one 2^n-bit int. ``SHIFT_CAP`` caps the carrier
-of :func:`pr_plus`, :func:`check_connection` and :func:`shifted_is_total`,
-which walk every subset.
+construction in :mod:`magmas.hierarchy` work. One sweep per model over
+all 2^n subsets, each family of subsets held as one 2^n-bit int, decides
+both halves of that claim: :func:`check_connection` compares every
+subset's shifted cone with its powerset, and :func:`shifted_opens_match`
+compares, on the open-set family, each open's shifted row with its
+inclusion row. ``SHIFT_CAP`` caps the carrier of :func:`pr_plus`, of
+that sweep and of :func:`shifted_is_total`, which walk every subset.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preorder import AtomSet, CapExceeded, PreOrder, format_atom_set, mask_order
-from .topology import down_closure, inclusion_rows, open_masks
+from .topology import closure_table, down_closure, inclusion_rows, open_masks, subset_families
 
 SHIFT_CAP = 12
 
@@ -67,6 +67,49 @@ class ConnectionCheck:
         return self.subset_dir and self.equality_when_open
 
 
+def _connection_sweep(p: PreOrder) -> tuple[list[tuple[AtomSet, ConnectionCheck]], bool]:
+    """The failing subsets of :func:`check_connection` and the verdict of
+    :func:`shifted_opens_match`, from one sweep over all 2^n subsets.
+
+    The subsets are visited in increasing order, so every subset of x,
+    and x's closure when x is open, comes before x.
+    """
+    if p.n > SHIFT_CAP:
+        raise CapExceeded(
+            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
+    n, full = p.n, p.full_mask
+    closure = closure_table(p.pred, n)
+    power = subset_families(n)
+    every = power[full]
+    avoid = [power[full ^ 1 << b] for b in range(n)]  # the subsets without atom b
+    cones: dict[AtomSet, int] = {}
+    failing = []
+    opens = 0  # the open subsets met so far, as one family
+    opens_match = True
+    # x = 0 always passes: its closure is empty, so its cone is power[0]
+    for x in range(1, 1 << n):
+        c, px = closure[x], power[x]
+        cone = cones.get(c)
+        if cone is None:
+            cone = every
+            for b in range(n):
+                if not c >> b & 1:
+                    cone &= avoid[b]
+            cones[c] = cone
+        subset_dir = not px & ~cone
+        is_open = not c & ~x
+        equality_when_open = not is_open or px == cone
+        if not (subset_dir and equality_when_open):
+            failing.append((x, ConnectionCheck(subset_dir, equality_when_open)))
+        if is_open:
+            # x's shifted row over the opens (the opens inside its closure,
+            # and x itself) against its inclusion row (the opens inside x)
+            opens |= 1 << x
+            if opens & power[c] | 1 << x != opens & px:
+                opens_match = False
+    return failing, opens_match
+
+
 def check_connection(p: PreOrder) -> list[tuple[AtomSet, ConnectionCheck]]:
     """The subsets x of the carrier whose shifted cone fails against P(x).
 
@@ -80,40 +123,11 @@ def check_connection(p: PreOrder) -> list[tuple[AtomSet, ConnectionCheck]]:
       the cone is the AND of the "avoids b" families over those atoms;
       x depends on its closure alone, so each distinct closure builds
       its cone once (on a pre-order, one per open set and the empty one);
-    - the powerset of x from x minus its lowest bit: each old member
-      stays, and each gains that bit.
+    - the powerset of x from :func:`~magmas.topology.subset_families`.
 
     Returns each failing x with its record, in increasing order of x.
     """
-    if p.n > SHIFT_CAP:
-        raise CapExceeded(
-            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
-    n, pred = p.n, p.pred
-    every = (1 << (1 << n)) - 1
-    # avoid[b]: the subsets without atom b, runs of 2^b ones every 2^(b+1) bits
-    avoid = [every // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
-    closure = [0] * (1 << n)
-    power = [1] * (1 << n)  # power[0] holds the empty set alone
-    cones: dict[AtomSet, int] = {}
-    failing = []
-    # x = 0 always passes: its closure is empty, so its cone is power[0]
-    for x in range(1, 1 << n):
-        low = x & -x
-        c = closure[x] = closure[x ^ low] | pred[low.bit_length() - 1]
-        f = power[x ^ low]
-        px = power[x] = f | f << low
-        cone = cones.get(c)
-        if cone is None:
-            cone = every
-            for b in range(n):
-                if not c >> b & 1:
-                    cone &= avoid[b]
-            cones[c] = cone
-        subset_dir = not px & ~cone
-        equality_when_open = bool(c & ~x) or px == cone
-        if not (subset_dir and equality_when_open):
-            failing.append((x, ConnectionCheck(subset_dir, equality_when_open)))
-    return failing
+    return _connection_sweep(p)[0]
 
 
 def shifted_is_total(p: PreOrder) -> bool:
@@ -121,7 +135,7 @@ def shifted_is_total(p: PreOrder) -> bool:
     if p.n > SHIFT_CAP:
         raise CapExceeded(
             f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
-    closures = [down_closure(p, s) for s in range(1 << p.n)]
+    closures = closure_table(p.pred, p.n)
     for x in range(1 << p.n):
         for y in range(x):
             if x & ~closures[y] and y & ~closures[x]:
@@ -142,20 +156,15 @@ def shifted_opens_match(p: PreOrder) -> bool:
     lies inside the one set ``down_closure(p, xi)``, so in a chain of such
     steps the first open lies inside the second-to-last, hence inside the
     set the last step tests. A step outside inclusion survives any
-    closure. So the closures agree exactly when the rows do, and the k
-    rows are compared with no walk over the 2^k candidate sets.
+    closure. So the closures agree exactly when the rows do, and the rows
+    are compared with no walk over the 2^k candidate sets.
+
+    Each row is a family of subsets: the opens inside ``down_closure(p, x)``
+    with x added, against the opens inside x. It comes from the sweep
+    behind :func:`check_connection`, which meets every subset of x before
+    x, so both families are complete when x is reached.
     """
-    opens = open_masks(p)
-    shift_rows = []
-    for i, xi in enumerate(opens):
-        # shift_leq(p, xj, xi) for every xj, with xi's closure computed once
-        closure = down_closure(p, xi)
-        row = 1 << i
-        for j, xj in enumerate(opens):
-            if not xj & ~closure:
-                row |= 1 << j
-        shift_rows.append(row)
-    return tuple(shift_rows) == inclusion_rows(opens)
+    return _connection_sweep(p)[1]
 
 
 def preorder_of_opens(p: PreOrder) -> PreOrder:

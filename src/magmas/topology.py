@@ -10,8 +10,13 @@ masks; :func:`enumerate_opens` wraps the same list in validated
 
 The predicates read the relation's rows directly: ``pred`` for lower
 openness and down-closure, the stored transpose ``succ`` for upper
-openness. These three share one loop over the members of a set,
-:func:`row_union`.
+openness. One set at a time they share one loop over its members,
+:func:`row_union`. A check that asks about every subset of the carrier
+reads :func:`closure_table` instead, which holds ``row_union`` of every
+mask at one OR each, and :func:`subset_families`, which holds the
+subsets of every mask as one 2^n-bit int (Knuth's broadword set
+families, TAOCP 4A 7.1.3). :func:`duality_failures` decides complement
+duality over the whole carrier from two such tables.
 """
 
 from __future__ import annotations
@@ -72,13 +77,47 @@ def is_lower_open(p: PreOrder, s: AtomSet) -> bool:
     return not row_union(p.pred, s) & ~s
 
 
-def _is_upper_open(p: PreOrder, s: AtomSet) -> bool:
-    # dual predicate, only used by the complement-duality check
-    return not row_union(p.succ, s) & ~s
+def closure_table(rows: Sequence[AtomSet], n: int) -> list[AtomSet]:
+    """``row_union(rows, x)`` for every mask x below 2^n, one OR per mask.
+
+    Built atom by atom: once the masks below 2^b are done, mask x + 2^b is
+    mask x joined with row b. Bits of the rows outside the carrier stay in
+    the table, so ``not t[x] & ~x`` agrees with :func:`is_lower_open` on
+    any rows, closed or raw.
+    """
+    t = [0]
+    for b in range(n):
+        row = rows[b]
+        t += [c | row for c in t]
+    return t
 
 
-def complement_duality_holds(p: PreOrder, s: AtomSet) -> bool:
-    return is_lower_open(p, s) == _is_upper_open(p, p.full_mask & ~s)
+def subset_families(n: int) -> list[int]:
+    """Entry x is the family of subsets of x, as an int whose bit y is set
+    exactly when y is a subset of x.
+
+    Built atom by atom, as :func:`closure_table` is: the subsets of
+    x + 2^b are those of x and each of them with atom b added, which is
+    the same family shifted up by 2^b bits.
+    """
+    t = [1]  # the empty set holds only itself
+    for b in range(n):
+        t += [f | f << (1 << b) for f in t]
+    return t
+
+
+def duality_failures(p: PreOrder) -> list[AtomSet]:
+    """The masks s of the carrier where "s is lower open" and "the
+    complement of s is upper open" disagree, in increasing order.
+
+    Lower openness reads the table of ``pred``, upper openness the table
+    of the transpose ``succ``.
+    """
+    n, full = p.n, p.full_mask
+    down = closure_table(p.pred, n)
+    up = closure_table(p.succ, n)
+    return [s for s in range(1 << n)
+            if (not down[s] & ~s) != (not up[full ^ s] & ~(full ^ s))]
 
 
 def down_closure(p: PreOrder, s: AtomSet) -> AtomSet:

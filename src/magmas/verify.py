@@ -131,11 +131,21 @@ class SuiteResult:
     failures: list[Counterexample] = field(default_factory=list)
     seconds: float = 0.0
     skipped: bool = False
-    note: str = ""
+    note: str = ""  # the first cap a model hit
+    models_capped: int = 0  # models whose check stopped at a cap
 
     @property
     def passed(self) -> bool:
         return self.skipped or not self.failures
+
+    @property
+    def status(self) -> str:
+        """skipped, fail, partial (no failure, but some models capped) or pass."""
+        if self.skipped:
+            return "skipped"
+        if self.failures:
+            return "fail"
+        return "partial" if self.models_capped else "pass"
 
 
 @dataclass
@@ -248,9 +258,9 @@ def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict
 
 def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     opens = tp.open_masks(p)
-    # every union and meet below is a mask of the carrier, so the library
-    # predicate is asked once per mask instead of once per pair or triple
-    is_open = [tp.is_lower_open(p, s) for s in range(1 << p.n)]
+    # every union and meet below is a mask of the carrier, so openness is
+    # read from one closure table over all masks, not decided per pair or triple
+    is_open = [not c & ~s for s, c in enumerate(tp.closure_table(p.pred, p.n))]
     out = []
     unions, meets = set(), set()
     for i, x in enumerate(opens):
@@ -283,26 +293,33 @@ def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_duality(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    return [
-        {"set": format_atom_set(p, s)}
-        for s in range(1 << p.n)
-        if not tp.complement_duality_holds(p, s)
-    ]
+    return [{"set": format_atom_set(p, s)} for s in tp.duality_failures(p)]
 
 
-def _brute_minimal(x: AtomSet, opens: list[AtomSet]) -> bool:
-    return not any(y != x and not y & ~x for y in opens)
+def _constant_rows(rows: list[AtomSet]) -> set[AtomSet]:
+    """The nonempty rows that equal the row of each of their members: the
+    sets x with ``all(rows[a] == x for a in bits(x))``.
+
+    ``holders[r]`` is the set of atoms whose row is r, so r qualifies when
+    it lies inside ``holders[r]``; that also keeps it inside the carrier.
+    """
+    holders: dict[AtomSet, AtomSet] = {}
+    for a, r in enumerate(rows):
+        holders[r] = holders.get(r, 0) | 1 << a
+    return {r for r, h in holders.items() if r and not r & ~h}
 
 
 def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     opens = tp.open_masks(p)
-    cones = [p.predecessors(a) for a in range(p.n)]
-    classes = [p.equiv_class(a) for a in range(p.n)]
+    family = sum(1 << x for x in opens)
+    power = tp.subset_families(p.n)
+    const_cones = _constant_rows([p.predecessors(a) for a in range(p.n)])
+    const_classes = _constant_rows([p.equiv_class(a) for a in range(p.n)])
     out = []
     for x in opens:
-        brute = _brute_minimal(x, opens)
-        by_cone = all(cones[a] == x for a in bits(x))
-        by_class = all(classes[a] == x for a in bits(x))
+        brute = family & power[x] == 1 << x  # no other open inside x
+        by_cone = x in const_cones
+        by_class = x in const_classes
         lib = tp.is_minimal_open(p, x)
         if not brute == by_cone == by_class == lib:
             out.append({"open": format_atom_set(p, x),
@@ -355,11 +372,13 @@ def _chk_shift_total(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
+    # one sweep decides check_connection and shifted_opens_match together
+    failing, opens_match = sh._connection_sweep(p)
     out = [{"x": format_atom_set(p, x),
             "subset_dir": c.subset_dir,
             "equality_when_open": c.equality_when_open}
-           for x, c in sh.check_connection(p)]
-    if not sh.shifted_opens_match(p):
+           for x, c in failing]
+    if not opens_match:
         out.append({"kind": "induced-topologies-differ"})
     return out
 
@@ -879,33 +898,36 @@ def _run_one(suite: Suite, ctx: RunContext) -> SuiteResult:
     recorded = {k: getattr(cfg, k) for k in RECORDED_CONFIG}
     result = SuiteResult(suite.suite_id, suite.statement, 0)
     start = time.perf_counter()
-    try:
-        if finite:
-            limit = min(cfg.max_size, suite.max_n) if suite.max_n else cfg.max_size
-            models = ctx.finite_models(limit)
-        else:
-            models = [(name, sym.model_by_name(name)) for name in suite.models]
-        for name, model in models:
-            result.models_checked += 1
+    if finite:
+        limit = min(cfg.max_size, suite.max_n) if suite.max_n else cfg.max_size
+        models = ctx.finite_models(limit)
+    else:
+        models = [(name, sym.model_by_name(name)) for name in suite.models]
+    for name, model in models:
+        try:
             witnesses = _witnesses(suite, model, name, ctx)
-            if not witnesses:
-                continue
-            # symbolic models are rebuilt from their name alone
-            text, labels, rows = ((format_preorder(model), model.labels, model.pred)
-                                  if finite else ("", (), ()))
-            for witness in witnesses:
-                result.failures.append(Counterexample(
-                    suite=suite.suite_id,
-                    model=name,
-                    model_text=text,
-                    labels=labels,
-                    rows=rows,
-                    witness=witness,
-                    message=f"{suite.suite_id} failed on {name}",
-                    config=dict(recorded),
-                ))
-    except CapExceeded as exc:
-        result.note = f"cap exceeded: {exc}"
+        except CapExceeded as exc:
+            # counted, and the run goes on: the suite is then partial, not pass
+            result.models_capped += 1
+            result.note = result.note or f"cap exceeded: {exc}"
+            continue
+        result.models_checked += 1
+        if not witnesses:
+            continue
+        # symbolic models are rebuilt from their name alone
+        text, labels, rows = ((format_preorder(model), model.labels, model.pred)
+                              if finite else ("", (), ()))
+        for witness in witnesses:
+            result.failures.append(Counterexample(
+                suite=suite.suite_id,
+                model=name,
+                model_text=text,
+                labels=labels,
+                rows=rows,
+                witness=witness,
+                message=f"{suite.suite_id} failed on {name}",
+                config=dict(recorded),
+            ))
     result.seconds = time.perf_counter() - start
     return result
 
@@ -964,24 +986,26 @@ def render_report(report: Report, *, timing: bool = True) -> str:
         f"  seed: {cfg.seed}",
     ]
     ran = [r for r in report.results if not r.skipped]
-    failed = [r for r in ran if r.failures]
+    statuses = [r.status for r in ran]
     lines += [
         "summary:",
         f"  suites_run: {len(ran)}",
-        f"  passed: {len(ran) - len(failed)}",
-        f"  failed: {len(failed)}",
-        f"  skipped: {len(report.results) - len(ran)}",
-        "",
+        f"  passed: {statuses.count('pass')}",
+        f"  failed: {statuses.count('fail')}",
     ]
+    if "partial" in statuses:
+        lines.append(f"  partial: {statuses.count('partial')}")
+    lines += [f"  skipped: {len(report.results) - len(ran)}", ""]
     for r in report.results:
         lines.append(f"suite: {r.suite_id}")
         lines.append(f"statement: {r.statement}")
+        lines.append(f"status: {r.status}")
         if r.skipped:
-            lines.append("status: skipped")
             lines.append("")
             continue
-        lines.append("status: " + ("pass" if not r.failures else "fail"))
         lines.append(f"models_checked: {r.models_checked}")
+        if r.models_capped:
+            lines.append(f"models_capped: {r.models_capped}")
         if r.note:
             lines.append(f"note: {r.note}")
         if timing:
@@ -1015,6 +1039,7 @@ def report_to_json(report: Report) -> dict:
                 "statement": r.statement,
                 "skipped": r.skipped,
                 "models_checked": r.models_checked,
+                "models_capped": r.models_capped,
                 "note": r.note,
                 "failures": [cx.to_blob() for cx in r.failures],
             }

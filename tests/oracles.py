@@ -127,6 +127,64 @@ def minimal_of(opens):
     return {x for x in opens if not any(y < x for y in opens)}
 
 
+def literal_row_union(rows, x):
+    """The union of rows[i] over the members i of int mask x, bit by bit."""
+    out = 0
+    for i in range(x.bit_length()):
+        if x >> i & 1:
+            out |= rows[i]
+    return out
+
+
+def down_closed(rel, s):
+    """Every a with (a, b) in rel for some b in s lies in s."""
+    return all(a in s for (a, b) in rel if b in s)
+
+
+def up_closed(rel, s):
+    """Every b with (a, b) in rel for some a in s lies in s."""
+    return all(b in s for (a, b) in rel if a in s)
+
+
+def duality_failures_of(rel, carrier):
+    """The subsets s of the carrier where "s is down-closed" and "the rest
+    of the carrier is up-closed" disagree.
+
+    ``rel`` is a set of label pairs (a, b), meaning a <= b; a may lie
+    outside the carrier, where no subset reaches it.
+    """
+    carrier = frozenset(carrier)
+    return {s for s in powerset_of(carrier)
+            if down_closed(rel, s) != up_closed(rel, carrier - s)}
+
+
+def open_sets_of(rel, carrier):
+    """The nonempty down-closed subsets of the carrier, as frozensets.
+
+    Unlike ``opens_of``, a pair (a, b) with a outside the carrier keeps b
+    out of every open.
+    """
+    return [x for x in powerset_of(carrier) if x and down_closed(rel, x)]
+
+
+def minimal_characterizations_of(rel, carrier, family):
+    """The three plain readings of minimality on each set of a family.
+
+    ``family`` lists label sets, normally ``open_sets_of(rel, carrier)``.
+    Returns {x: (brute, cone, klass)} over it: no other set of the family
+    lies inside x; every member's cone {b : (b, a) in rel} equals x; every
+    member's class, the b in the carrier with (b, a) and (a, b) in rel,
+    equals x.
+    """
+    cone = {a: frozenset(b for (b, c) in rel if c == a) for a in carrier}
+    klass = {a: frozenset(b for b in carrier if (b, a) in rel and (a, b) in rel)
+             for a in carrier}
+    return {x: (not any(y < x for y in family),
+                all(cone[a] == x for a in x),
+                all(klass[a] == x for a in x))
+            for x in family}
+
+
 def shift_pairs(rel, x, y):
     """Literal simulation test on frozensets of labels."""
     return all(any((a, b) in rel for b in y) for a in x)

@@ -13,7 +13,7 @@ from magmas.topology import inclusion_rows
 
 from oracles import connection_failures, same_lower_open_family, shift_pairs
 
-LABELS = "abcd"
+LABELS = "abcde"
 
 
 def rel_of(p):
@@ -153,7 +153,7 @@ def test_shifted_opens_match_on_raw_rows():
     rng = random.Random(2027)
     verdicts = []
     for _ in range(300):
-        n = rng.randint(2, 4)
+        n = rng.randint(2, 5)
         p = PreOrder(tuple(LABELS[:n]), tuple(rng.getrandbits(n) for _ in range(n)))
         verdict = shifted_opens_match(p)
         assert verdict == same_lower_open_family(rel_of(p), p.labels), p

@@ -1,16 +1,36 @@
+import random
+
 import pytest
 
 from magmas import (CapExceeded, DownSet, build, down_closure, enumerate_opens,
                     is_lower_open, is_minimal_open, is_saturated, minimal_opens,
                     open_masks)
-from magmas.preorder import bits
-from magmas.topology import complement_duality_holds
+from magmas.preorder import PreOrder, bits
+from magmas.topology import closure_table, duality_failures, subset_families
 
-from oracles import closure_pairs, is_down_closed, minimal_of, opens_of
+from oracles import (closure_pairs, duality_failures_of, is_down_closed,
+                     literal_row_union, minimal_of, opens_of)
+
+NAMES = "abcdef"
 
 
 def labelset(p, mask):
     return frozenset(p.set_labels(mask))
+
+
+def raw_models(seed, count):
+    """Seeded rows on n <= 5 atoms, each random over n + 1 bits: unclosed,
+    mostly non-reflexive, some with bit n outside the carrier."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        yield PreOrder(tuple(NAMES[:n]), tuple(rng.getrandbits(n + 1) for _ in range(n)))
+
+
+def pairs_of(p):
+    """The relation of p's raw rows as label pairs (a, b), a <= b; bit n
+    of a row is the label NAMES[n], outside the carrier."""
+    return {(NAMES[a], p.labels[b]) for b in range(p.n) for a in bits(p.pred[b])}
 
 
 def test_is_lower_open_examples(chain3):
@@ -144,8 +164,35 @@ def test_union_and_intersection_stay_open(models_by_size):
 def test_complement_duality(models_by_size):
     for n in (1, 2, 3):
         for p in models_by_size[n]:
-            for s in range(1 << p.n):
-                assert complement_duality_holds(p, s)
+            assert duality_failures(p) == []
+
+
+def test_closure_table_matches_literal_union(models_by_size):
+    models = [p for n in (1, 2, 3, 4) for p in models_by_size[n]]
+    models += raw_models("closure-table", 1000)
+    for p in models:
+        for rows in (p.pred, p.succ):
+            assert closure_table(rows, p.n) == [
+                literal_row_union(rows, x) for x in range(1 << p.n)]
+        # openness read from the table is the library predicate
+        table = closure_table(p.pred, p.n)
+        assert [not c & ~x for x, c in enumerate(table)] == [
+            is_lower_open(p, x) for x in range(1 << p.n)]
+    for n in range(6):
+        assert subset_families(n) == [
+            sum(1 << y for y in range(1 << n) if not y & ~x) for x in range(1 << n)]
+
+
+def test_duality_failures_match_literal_closure_tests(models_by_size):
+    preorders = [p for n in (1, 2, 3, 4) for p in models_by_size[n]]
+    failing = []
+    for p in preorders + list(raw_models("duality", 1000)):
+        got = duality_failures(p)
+        assert got == sorted(got)
+        assert {labelset(p, s) for s in got} == duality_failures_of(pairs_of(p), p.labels)
+        failing.append(bool(got))
+    assert not any(failing[:len(preorders)])
+    assert 0 < sum(failing) < 1000
 
 
 def test_saturation(twocycle, models_by_size):

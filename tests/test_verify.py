@@ -8,12 +8,13 @@ from magmas import build
 from magmas import hierarchy as hm
 from magmas import symbolic as sym
 from magmas import topology as tp
-from magmas.preorder import PreOrder, format_atom_set, format_preorder
+from magmas.preorder import PreOrder, bits, format_atom_set, format_preorder
 from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
-                           SuiteConfig, _chk_open_family, render_report, replay,
+                           SuiteConfig, _chk_minimal_characterizations,
+                           _chk_open_family, render_report, replay,
                            report_to_json, run_suite)
 
-from oracles import open_family_witnesses
+from oracles import minimal_characterizations_of, open_family_witnesses, open_sets_of
 
 GOLDEN = Path(__file__).parent / "golden" / "report_max2.txt"
 GOLDEN_MAX4 = Path(__file__).parent / "golden" / "report_max4.txt"
@@ -227,6 +228,24 @@ def test_cap_exceeded_noted_not_fatal():
     assert report.passed  # reported per-suite, not a failure
 
 
+def test_capped_models_are_counted_and_partial():
+    # the antichain-3 hits the growth cap at depth 4; the models after it
+    # are still checked, and the suite is partial rather than pass
+    cfg = SuiteConfig(suites=("hierarchy-levels",), max_size=3, depth=4)
+    report = run_suite(cfg)
+    res = {r.suite_id: r for r in report.results}["hierarchy-levels"]
+    assert res.models_capped >= 1
+    assert res.models_checked + res.models_capped == 34
+    assert res.status == "partial"
+    text = render_report(report)
+    assert "status: partial" in text
+    assert f"models_capped: {res.models_capped}" in text
+    assert "  partial: 1" in text and "  passed: 0" in text
+    [blob] = [r for r in report_to_json(report)["results"]
+              if r["suite"] == "hierarchy-levels"]
+    assert blob["models_capped"] == res.models_capped
+
+
 def test_connection_sweep_checks_every_five_atom_model():
     cfg = SuiteConfig(suites=("shift-powerset-connection",), max_size=5)
     [res] = [r for r in run_suite(cfg).results if not r.skipped]
@@ -289,21 +308,27 @@ def test_bounded_member_fault_is_caught_and_replayed(monkeypatch):
     assert replay(blob) is True
 
 
+def faulty_closure_table(verdicts):
+    """A closure table whose entry s is open exactly when verdicts[s] holds:
+    a rejected mask gets bit n, which lies outside every mask."""
+    return lambda rows, n: [0 if ok else 1 << n for ok in verdicts]
+
+
 def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
-    opens = tp.open_masks(antichain2)  # before is_lower_open is broken
+    opens = tp.open_masks(antichain2)  # before the closure table is broken
     full = antichain2.full_mask
-    real = tp.is_lower_open
+    verdicts = [s != full and tp.is_lower_open(antichain2, s) for s in range(1 << 2)]
     monkeypatch.setattr(tp, "open_masks", lambda p, **kw: opens)
-    monkeypatch.setattr(tp, "is_lower_open", lambda p, s: s != full and real(p, s))
+    monkeypatch.setattr(tp, "closure_table", faulty_closure_table(verdicts))
     witnesses = _chk_open_family(antichain2, "n=2#0", RunContext(SuiteConfig()))
     assert {"kind": "union", "x": "{a}", "y": "{b}"} in witnesses
 
 
 def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
-    # seeded faults in the library predicate; the opens are the masks the
-    # faulty predicate accepts, some dropped, so the family need not be
-    # closed under unions or meets. The pair shortcut must report exactly
-    # the witnesses of the full pair and triple loops.
+    # seeded faults in the library's openness table; the opens are the
+    # masks the faulty table accepts, some dropped, so the family need not
+    # be closed under unions or meets. The pair shortcut must report
+    # exactly the witnesses of the full pair and triple loops.
     real = tp.is_lower_open
     checked = with_triples = 0
     for n in (1, 2, 3):
@@ -312,7 +337,7 @@ def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
             table = [real(p, s) != (rng.random() < 0.15) for s in range(1 << n)]
             opens = sorted((s for s in range(1, 1 << n) if table[s] and rng.random() >= 0.2),
                            key=lambda s: (s.bit_count(), s))
-            monkeypatch.setattr(tp, "is_lower_open", lambda q, s, t=table: t[s])
+            monkeypatch.setattr(tp, "closure_table", faulty_closure_table(table))
             monkeypatch.setattr(tp, "open_masks", lambda q, o=opens: o)
             want = []
             for kind, masks in open_family_witnesses(opens, table):
@@ -350,14 +375,14 @@ def test_non_open_mask_in_open_masks_is_caught(monkeypatch):
 
 def test_check_exception_is_a_counterexample(monkeypatch):
     # a bug that raises on one model fails the suite there and the run goes on
-    real = tp.complement_duality_holds
+    real = tp.duality_failures
 
-    def faulty(p, s):
+    def faulty(p):
         if p.pred == (0b01, 0b11):
             raise ValueError("injected fault")
-        return real(p, s)
+        return real(p)
 
-    monkeypatch.setattr(tp, "complement_duality_holds", faulty)
+    monkeypatch.setattr(tp, "duality_failures", faulty)
     cfg = SuiteConfig(suites=("open-complement-duality", "class-vs-cone"), max_size=2)
     report = run_suite(cfg)
     res = {r.suite_id: r for r in report.results}
@@ -392,3 +417,50 @@ def test_every_level_space_is_searched_for_open_splits(monkeypatch):
     assert replay(blob) is False
     monkeypatch.undo()
     assert replay(blob) is True
+
+
+def test_minimal_characterizations_match_literal_forms(monkeypatch, models_by_size):
+    # every side against its plain per-set all(...)/any(...) reading. Raw
+    # rows (random over n + 1 bits) make the sides disagree on some models;
+    # on the injected cases seeded non-open masks join the opens, which is
+    # where the cone and class sides can part
+    names = "abcdef"
+    rng = random.Random("minimal-characterizations")
+    raw = []
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        raw.append(PreOrder(tuple(names[:n]),
+                            tuple(rng.getrandbits(n + 1) for _ in range(n))))
+    preorders = [p for n in (1, 2, 3, 4) for p in models_by_size[n]]
+    cases = [(p, False) for p in preorders + raw]
+    cases += [(p, True) for p in preorders[:34] + raw[:300]]
+    failing = []  # per uninjected case
+    parted = 0
+    real_open_masks = tp.open_masks
+    for p, inject in cases:
+        rel = {(names[a], p.labels[b]) for b in range(p.n) for a in bits(p.pred[b])}
+        opens = open_sets_of(rel, p.labels)
+        family = [p.atom_set(x) for x in opens]
+        assert sorted(family) == sorted(real_open_masks(p))
+        if inject:
+            family += [s for s in rng.sample(range(1, 1 << p.n), min(3, (1 << p.n) - 1))
+                       if s not in family]
+        sides = minimal_characterizations_of(
+            rel, p.labels, [frozenset(p.set_labels(x)) for x in family])
+        want = []
+        for x in family:
+            brute, cone, klass = sides[frozenset(p.set_labels(x))]
+            lib = tp.is_minimal_open(p, x)
+            if not brute == cone == klass == lib:
+                want.append({"open": format_atom_set(p, x), "brute": brute,
+                             "cone": cone, "class": klass, "library": lib})
+        monkeypatch.setattr(tp, "open_masks", lambda q, f=family: f)
+        got = _chk_minimal_characterizations(p, "m", RunContext(SuiteConfig()))
+        assert got == want, p
+        if inject:
+            parted += any(w["cone"] != w["class"] for w in got)
+        else:
+            failing.append(bool(got))
+    assert not any(failing[:len(preorders)])
+    assert 0 < sum(failing) < len(raw)
+    assert parted > 0  # only non-open sets tell cones from classes
