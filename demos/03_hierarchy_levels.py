@@ -8,7 +8,7 @@ from magmas import Hierarchy, MElem, build, hf_rank
 from magmas.hierarchy import parse_value, render_value
 
 anti = build("ab")  # two independent atoms
-h = Hierarchy(anti, growth_cap=20)
+h = Hierarchy(anti)
 levels = h.build(3)
 print("level sizes:", [len(lv) for lv in levels])
 for lv in levels[:2]:

@@ -2,15 +2,13 @@
 
 Exit codes: 0 no check failed (a verify suite whose models hit a cap
 reports ``status: partial`` and still exits 0), 1 a verification failed,
-2 bad input or configuration. Caps for the verify command can also be set through the
-environment: MAGMAS_MAX_SIZE, MAGMAS_DEPTH, MAGMAS_SYMBOLIC_DEPTH.
+2 bad input or configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import hierarchy as hm
@@ -21,18 +19,6 @@ from .preorder import (CapExceeded, format_atom_set, load_preorder,
                        parse_atom_set)
 from .verify import (ConfigError, SuiteConfig, SUITES, render_report,
                      report_to_json, run_suite)
-
-
-def _env_int(name: str, value: int | None, fallback: int) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 def _cmd_opens(args: argparse.Namespace) -> int:
@@ -138,10 +124,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     suites = tuple(args.suites.split(",")) if args.suites else ("all",)
     cfg = SuiteConfig(
         suites=suites,
-        max_size=_env_int("MAGMAS_MAX_SIZE", args.max_size, SuiteConfig.max_size),
-        depth=_env_int("MAGMAS_DEPTH", args.depth, SuiteConfig.depth),
-        symbolic_depth=_env_int("MAGMAS_SYMBOLIC_DEPTH", args.symbolic_depth,
-                                SuiteConfig.symbolic_depth),
+        max_size=args.max_size,
+        depth=args.depth,
+        symbolic_depth=args.symbolic_depth,
         seed=args.seed,
     )
     report = run_suite(cfg)
@@ -218,10 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suites", default="",
                     help="comma-separated suite ids (default: all); "
                          f"known: {', '.join(SUITES)}")
-    # unset options fall back to MAGMAS_* variables, read in _cmd_verify
-    sp.add_argument("--max-size", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--symbolic-depth", type=int)
+    sp.add_argument("--max-size", type=int, default=SuiteConfig.max_size)
+    sp.add_argument("--depth", type=int, default=SuiteConfig.depth)
+    sp.add_argument("--symbolic-depth", type=int, default=SuiteConfig.symbolic_depth)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="write the report to a file")
     sp.add_argument("--format", choices=("text", "json"), default="text")

@@ -19,7 +19,7 @@ from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_set, mask_ord
 from .topology import (downset_masks, inclusion_rows, is_lower_open, open_masks,
                        row_union)
 
-GROWTH_CAP = 14
+GROWTH_CAP = 20  # |M2| reaches 18 on the 3-atom antichain
 
 HF = object  # an atom label (str) or a frozenset of HF values
 
@@ -203,7 +203,7 @@ class UnionReport:
 class Hierarchy:
     """Materialized levels plus membership decisions over one pre-order.
 
-    Level 1 is capped by ``topology.OPENS_CAP``, level growth by growth_cap.
+    Level 1 is capped by ``topology.CARRIER_CAP``, level growth by growth_cap.
     """
 
     def __init__(self, base: PreOrder, *, growth_cap: int = GROWTH_CAP):

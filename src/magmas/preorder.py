@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 
 AtomSet = int
 
-ENUM_DEFAULT_BOUND = 4
 ENUM_HARD_CAP = 5
 
 _LETTERS = string.ascii_lowercase
@@ -161,6 +160,10 @@ class PreOrder:
     def from_pred_rows(cls, labels: Iterable[str], rows: Iterable[AtomSet]) -> PreOrder:
         """Wrap already-closed predecessor rows, validating D1/D2."""
         p = cls(tuple(labels), tuple(rows))
+        if not p.n:
+            raise ValueError("carrier must contain at least one atom")
+        if len(set(p.labels)) != p.n:
+            raise ValueError(f"duplicate atom label in {p.labels!r}")
         if len(p.pred) != p.n:
             raise ValueError("one predecessor row per atom required")
         for b, row in enumerate(p.pred):
@@ -264,7 +267,7 @@ def _pattern_index(rows: tuple[AtomSet, ...]) -> int:
     return idx
 
 
-def enumerate_preorders(n: int, *, bound: int = ENUM_DEFAULT_BOUND) -> Iterator[PreOrder]:
+def enumerate_preorders(n: int, *, bound: int = ENUM_HARD_CAP) -> Iterator[PreOrder]:
     """Every labeled pre-order on n atoms, exactly once, in a fixed order.
 
     Builds the pre-orders by one-point extension, so the work grows with
@@ -286,7 +289,7 @@ def enumerate_preorders(n: int, *, bound: int = ENUM_DEFAULT_BOUND) -> Iterator[
         yield PreOrder(labels, rows)
 
 
-def count_preorders(n: int, *, bound: int = ENUM_DEFAULT_BOUND) -> int:
+def count_preorders(n: int, *, bound: int = ENUM_HARD_CAP) -> int:
     return sum(1 for _ in enumerate_preorders(n, bound=bound))
 
 

@@ -8,18 +8,17 @@ all 2^n subsets, each family of subsets held as one 2^n-bit int, decides
 both halves of that claim: :func:`check_connection` compares every
 subset's shifted cone with its powerset, and :func:`shifted_opens_match`
 compares, on the open-set family, each open's shifted row with its
-inclusion row. ``SHIFT_CAP`` caps the carrier of :func:`pr_plus`, of
-that sweep and of :func:`shifted_is_total`, which walk every subset.
+inclusion row. :func:`pr_plus`, that sweep and :func:`shifted_is_total`
+walk every subset, so ``topology.CARRIER_CAP`` caps their carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .preorder import AtomSet, CapExceeded, PreOrder, format_atom_set, mask_order
-from .topology import closure_table, down_closure, inclusion_rows, open_masks, subset_families
-
-SHIFT_CAP = 12
+from .preorder import AtomSet, PreOrder, format_atom_set, mask_order
+from .topology import (check_carrier_cap, closure_table, down_closure, inclusion_rows,
+                       open_masks, subset_families)
 
 
 def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
@@ -32,9 +31,7 @@ def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
 
 def pr_plus(p: PreOrder, x: AtomSet) -> list[AtomSet]:
     """All subsets y of the carrier (the empty one included) below x."""
-    if p.n > SHIFT_CAP:
-        raise CapExceeded(
-            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
+    check_carrier_cap(p)
     # shift_leq(p, y, x) for every y, with x's closure computed once
     closure = down_closure(p, x)
     out = [y for y in range(1 << p.n) if not y & ~closure]
@@ -74,9 +71,7 @@ def _connection_sweep(p: PreOrder) -> tuple[list[tuple[AtomSet, ConnectionCheck]
     The subsets are visited in increasing order, so every subset of x,
     and x's closure when x is open, comes before x.
     """
-    if p.n > SHIFT_CAP:
-        raise CapExceeded(
-            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
+    check_carrier_cap(p)
     n, full = p.n, p.full_mask
     closure = closure_table(p.pred, n)
     power = subset_families(n)
@@ -132,9 +127,7 @@ def check_connection(p: PreOrder) -> list[tuple[AtomSet, ConnectionCheck]]:
 
 def shifted_is_total(p: PreOrder) -> bool:
     """Totality of the shifted relation over all subset pairs."""
-    if p.n > SHIFT_CAP:
-        raise CapExceeded(
-            f"carrier size {p.n} exceeds shift materialization cap {SHIFT_CAP}")
+    check_carrier_cap(p)
     closures = closure_table(p.pred, p.n)
     for x in range(1 << p.n):
         for y in range(x):

@@ -280,18 +280,16 @@ class ModelValidation:
         return not self.failures
 
 
-def validate_model(
-    model: SymbolicPreOrder,
-    *,
-    depth: int = 8,
-    extra_samples: int = 200,
-    triple_samples: int = 500,
-    seed: int = 0,
-) -> ModelValidation:
+EXTRA_SAMPLES = 200  # random atoms deeper than depth added to the pool
+TRIPLE_SAMPLES = 500  # random triples drawn from the pool for transitivity
+
+
+def validate_model(model: SymbolicPreOrder, *, depth: int = 8,
+                   seed: int = 0) -> ModelValidation:
     """Validate the axioms on all atoms up to ``depth`` plus random longer ones."""
     rng = random.Random(seed)
     pool = list(model.atoms_up_to(depth))
-    pool.extend(model.random_atom(rng, depth + 1, depth + 8) for _ in range(extra_samples))
+    pool.extend(model.random_atom(rng, depth + 1, depth + 8) for _ in range(EXTRA_SAMPLES))
     failures: list[str] = []
     for a in pool:
         if not model.leq(a, a):
@@ -299,11 +297,11 @@ def validate_model(
         b = model.strict_pred(a)
         if not model.strict(b, a):
             failures.append(f"strict_pred failed at {model.render_atom(a)}")
-    for _ in range(triple_samples):
+    for _ in range(TRIPLE_SAMPLES):
         a, b, c = (rng.choice(pool) for _ in range(3))
         if model.leq(a, b) and model.leq(b, c) and not model.leq(a, c):
             failures.append(
                 "not transitive at "
                 + ", ".join(model.render_atom(z) for z in (a, b, c))
             )
-    return ModelValidation(model.name, len(pool), triple_samples, failures)
+    return ModelValidation(model.name, len(pool), TRIPLE_SAMPLES, failures)

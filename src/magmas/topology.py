@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_atom_set, mask_order
 
-OPENS_CAP = 12  # carrier size past which open_masks walks too many subsets
+CARRIER_CAP = 12  # carrier size past which a walk over all 2^n subsets stops
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,12 @@ class DownSet:
 
     def __repr__(self) -> str:
         return format_atom_set(self.base, self.members)
+
+
+def check_carrier_cap(p: PreOrder) -> None:
+    """Raise CapExceeded if p's carrier is over ``CARRIER_CAP``."""
+    if p.n > CARRIER_CAP:
+        raise CapExceeded(f"carrier size {p.n} exceeds subset-walk cap {CARRIER_CAP}")
 
 
 def row_union(rows: Sequence[AtomSet], s: AtomSet) -> AtomSet:
@@ -159,16 +165,15 @@ def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:
     return tuple(rows)
 
 
-def open_masks(p: PreOrder, *, cap: int = OPENS_CAP) -> list[AtomSet]:
+def open_masks(p: PreOrder) -> list[AtomSet]:
     """Masks of the nonempty lower-open subsets, sorted by size then bit pattern."""
-    if p.n > cap:
-        raise CapExceeded(f"carrier size {p.n} exceeds open-enumeration cap {cap}")
+    check_carrier_cap(p)
     return sorted(downset_masks(p.pred, p.n), key=mask_order)
 
 
-def enumerate_opens(p: PreOrder, *, cap: int = OPENS_CAP) -> list[DownSet]:
+def enumerate_opens(p: PreOrder) -> list[DownSet]:
     """All nonempty lower-open subsets, sorted by size then bit pattern."""
-    return [DownSet(p, s) for s in open_masks(p, cap=cap)]
+    return [DownSet(p, s) for s in open_masks(p)]
 
 
 def is_minimal_open(p: PreOrder, x: DownSet | AtomSet) -> bool:

@@ -26,7 +26,7 @@ from . import topology as tp
 from .preorder import (ENUM_HARD_CAP, AtomSet, CapExceeded, PreOrder, bits, build,
                        enumerate_preorders, format_atom_set, format_preorder)
 
-HIER_GROWTH_CAP = 20  # |M2| reaches 18 on the 3-atom antichain
+HIER_GROWTH_CAP = hm.GROWTH_CAP  # the name perfbench/hierarchy_queries.py reads
 HIER_MAX_N = 3
 SHIFT_LAW_MAX_N = 3
 MIXED_FAMILY_SIZE = 20
@@ -176,7 +176,7 @@ class RunContext:
         for n in range(1, max_n + 1):
             if n not in self._models:
                 models = []
-                for idx, p in enumerate(enumerate_preorders(n, bound=ENUM_HARD_CAP)):
+                for idx, p in enumerate(enumerate_preorders(n)):
                     if self.model_hook is not None:
                         p = self.model_hook(p)
                     models.append((f"n={n}#{idx}", p))
@@ -187,7 +187,7 @@ class RunContext:
     def hierarchy(self, p: PreOrder) -> hm.Hierarchy:
         h = self._hier.get(p)
         if h is None:
-            h = hm.Hierarchy(p, growth_cap=HIER_GROWTH_CAP)
+            h = hm.Hierarchy(p)
             self._hier[p] = h
         return h
 

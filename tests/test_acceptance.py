@@ -277,7 +277,7 @@ def test_criterion_09_symbolic_suite():
     prefix = binary_string_model()
     clustered = clustered_model(2)
     for model in (prefix, clustered):
-        v = validate_model(model, depth=8, extra_samples=200, seed=0)
+        v = validate_model(model, depth=8, seed=0)
         violations.extend((model.name, f) for f in v.failures)
     rng = random.Random("acceptance9")
     pool = [GenOpen(prefix, 1,

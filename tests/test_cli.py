@@ -98,6 +98,16 @@ def test_hierarchy_sizes(capsys, anti_file):
     assert code == 0 and out.strip() == "3 4 5"
 
 
+def test_hierarchy_default_growth_cap(capsys, tmp_path):
+    # the 3-atom antichain has 18 level-2 elements, within the default cap
+    f = tmp_path / "anti3.po"
+    f.write_text("atoms: a b c\n")
+    code, out, _ = run(capsys, "hierarchy", str(f), "--levels", "3")
+    assert code == 0 and out.strip() == "7 18 81"
+    code, _, err = run(capsys, "hierarchy", str(f), "--levels", "4")
+    assert code == 2 and "level 3 has 81 elements, over growth cap 20" in err
+
+
 def test_hierarchy_print(capsys, anti_file):
     code, out, _ = run(capsys, "hierarchy", anti_file, "--levels", "2", "--print")
     assert code == 0
@@ -158,14 +168,3 @@ def test_verify_bad_config(capsys):
     code, _, err = run(capsys, "verify", "--suites", "bogus")
     assert code == 2 and "unknown suites" in err
 
-
-def test_env_overrides(capsys, monkeypatch, chain_file):
-    monkeypatch.setenv("MAGMAS_MAX_SIZE", "1")
-    code, out, _ = run(capsys, "verify", "--suites", "closure-idempotence")
-    assert code == 0 and "models_checked: 1" in out
-    monkeypatch.setenv("MAGMAS_MAX_SIZE", "zap")
-    code, _, err = run(capsys, "verify", "--suites", "closure-idempotence")
-    assert code == 2 and "MAGMAS_MAX_SIZE" in err
-    # the variables set verify defaults only; other commands never read them
-    code, out, _ = run(capsys, "check", chain_file)
-    assert code == 0 and "opens: 3" in out

@@ -4,8 +4,7 @@ import pytest
 
 from magmas import (CapExceeded, Hierarchy, MElem, enumerate_opens,
                     hf_rank, hf_union)
-from magmas.hierarchy import (GROWTH_CAP, basic_open_partition_free,
-                              find_open_partition,
+from magmas.hierarchy import (basic_open_partition_free, find_open_partition,
                               level_basic_open_partition_free, parse_value,
                               render_value)
 from magmas.preorder import bits
@@ -125,9 +124,10 @@ def test_hierarchy_rank_memo_matches_hf_rank(models_by_size):
 
 
 def test_growth_cap(antichain3):
+    h = Hierarchy(antichain3)
+    assert len(h.build(3)[2]) == 81  # |M2| = 18 is within the default cap
     with pytest.raises(CapExceeded):
-        Hierarchy(antichain3, growth_cap=GROWTH_CAP).build(3)  # |M2| = 18
-    assert len(Hierarchy(antichain3, growth_cap=20).build(3)[2]) == 81
+        h.build(4)
 
 
 def test_bottom_level_outside_level2(antichain2):

@@ -90,6 +90,10 @@ def test_from_pred_rows_validates():
         PreOrder.from_pred_rows("ab", (0b01, 0b01))
     with pytest.raises(ValueError, match="transitive"):
         PreOrder.from_pred_rows("abc", (0b001, 0b011, 0b110))
+    with pytest.raises(ValueError, match="duplicate"):
+        PreOrder.from_pred_rows(("a", "a"), (0b01, 0b10))
+    with pytest.raises(ValueError, match="at least one atom"):
+        PreOrder.from_pred_rows((), ())
 
 
 # --- point queries -----------------------------------------------------------
@@ -245,8 +249,9 @@ def test_enumeration_order_pinned(n, digest):
 
 
 def test_enumeration_bounds():
+    assert count_preorders(5) == 6942
     with pytest.raises(CapExceeded):
-        list(enumerate_preorders(5))
+        list(enumerate_preorders(5, bound=4))
     with pytest.raises(CapExceeded):
         list(enumerate_preorders(6, bound=6))
     assert count_preorders(1) == 1

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magmas
 from magmas import (CapExceeded, build, check_connection, enumerate_opens,
                     open_masks, pr_plus, preorder_of_opens, shift_leq,
                     shifted_is_total, shifted_opens_match)
 from magmas.preorder import PreOrder, bits
 from magmas.shifting import powerset_masks
-from magmas.topology import inclusion_rows
+from magmas.topology import CARRIER_CAP, inclusion_rows
 
 from oracles import connection_failures, same_lower_open_family, shift_pairs
 
@@ -77,10 +78,15 @@ def test_pr_plus_examples():
     assert set(powerset_masks(p.atom_set("b"))) < set(pr_plus(p, p.atom_set("b")))
 
 
-def test_pr_plus_cap():
-    wide = build([f"x{i}" for i in range(13)])
-    with pytest.raises(CapExceeded):
-        pr_plus(wide, 1)
+# every entry point that walks all 2^n subsets stops at CARRIER_CAP
+@pytest.mark.parametrize("name", ["open_masks", "enumerate_opens", "pr_plus",
+                                  "check_connection", "shifted_opens_match",
+                                  "shifted_is_total"])
+def test_subset_walk_cap(name):
+    wide = build([f"x{i}" for i in range(CARRIER_CAP + 1)])
+    args = (1,) if name == "pr_plus" else ()
+    with pytest.raises(CapExceeded, match=f"cap {CARRIER_CAP}"):
+        getattr(magmas, name)(wide, *args)
 
 
 def test_connection_examples():
