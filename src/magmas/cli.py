@@ -84,7 +84,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> int:
 
 def _cmd_hierarchy(args: argparse.Namespace) -> int:
     p = load_preorder(args.file)
-    h = hm.Hierarchy(p, growth_cap=args.growth_cap)
+    h = hm.Hierarchy(p)
     levels = h.build(args.levels)
     if args.print_elements:
         for lv in levels:
@@ -99,7 +99,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 def _cmd_member(args: argparse.Namespace) -> int:
     p = load_preorder(args.file)
     v = hm.parse_value(args.value)
-    h = hm.Hierarchy(p, growth_cap=args.growth_cap)
+    h = hm.Hierarchy(p)
     mem = h.membership(v, args.bound)
     print(mem.describe())
     return 0
@@ -184,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=int, default=3, metavar="N")
     sp.add_argument("--print", dest="print_elements", action="store_true",
                     help="print every element (default prints sizes)")
-    sp.add_argument("--growth-cap", type=int, default=hm.GROWTH_CAP)
     sp.set_defaults(fn=_cmd_hierarchy)
 
     sp = subs.add_parser("member", help="locate a nested-brace value in the hierarchy")
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--value", required=True,
                     help="hereditarily finite literal, e.g. '{{a},{a,b}}'")
     sp.add_argument("--bound", type=int, default=3, metavar="N")
-    sp.add_argument("--growth-cap", type=int, default=hm.GROWTH_CAP)
     sp.set_defaults(fn=_cmd_member)
 
     sp = subs.add_parser("check", help="validate a single pre-order file")

@@ -1,15 +1,18 @@
 """Shifting a pre-order to the powerset of its carrier.
 
 The shifted relation compares subsets by simulation: x is below y when
-every member of x depends on some member of y. On open sets the shifted
-relation collapses to plain inclusion, which is what makes the level
-construction in :mod:`magmas.hierarchy` work. One sweep per model over
-all 2^n subsets, each family of subsets held as one 2^n-bit int, decides
-both halves of that claim: :func:`check_connection` compares every
-subset's shifted cone with its powerset, and :func:`shifted_opens_match`
-compares, on the open-set family, each open's shifted row with its
-inclusion row. :func:`pr_plus`, that sweep and :func:`shifted_is_total`
-walk every subset, so ``topology.CARRIER_CAP`` caps their carrier.
+every member of x depends on some member of y, that is, when x lies
+inside the down-closure of y. So the subsets below x are those of the
+carrier part of x's closure, which is how :func:`pr_plus` lists them. On
+open sets the shifted relation collapses to plain inclusion, which is
+what makes the level construction in :mod:`magmas.hierarchy` work. One
+sweep per model over all 2^n subsets, each family of subsets held as one
+2^n-bit int, decides both halves of that claim: :func:`check_connection`
+compares every subset's shifted cone with its powerset, and
+:func:`shifted_opens_match` compares, on the open-set family, each open's
+shifted row with its inclusion row. That sweep and
+:func:`shifted_is_total` walk every subset, and :func:`pr_plus` can list
+all of them, so ``topology.CARRIER_CAP`` caps the carrier of all three.
 """
 
 from __future__ import annotations
@@ -32,11 +35,7 @@ def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
 def pr_plus(p: PreOrder, x: AtomSet) -> list[AtomSet]:
     """All subsets y of the carrier (the empty one included) below x."""
     check_carrier_cap(p)
-    # shift_leq(p, y, x) for every y, with x's closure computed once
-    closure = down_closure(p, x)
-    out = [y for y in range(1 << p.n) if not y & ~closure]
-    out.sort(key=mask_order)
-    return out
+    return powerset_masks(down_closure(p, x) & p.full_mask)
 
 
 def powerset_masks(x: AtomSet) -> list[AtomSet]:

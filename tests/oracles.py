@@ -190,6 +190,20 @@ def shift_pairs(rel, x, y):
     return all(any((a, b) in rel for b in y) for a in x)
 
 
+def shift_law_failures(rel, subsets):
+    """The literal reflexivity and transitivity failures of the shift test.
+
+    ``subsets`` lists label sets in the order to report them. Returns the
+    x with not ``shift_pairs(rel, x, x)``, then every (x, y, z) with x
+    below y and y below z but x not below z, in x, y, z loop order.
+    """
+    below = {(x, y): shift_pairs(rel, x, y) for x in subsets for y in subsets}
+    reflexive = [x for x in subsets if not below[x, x]]
+    transitive = [(x, y, z) for x in subsets for y in subsets for z in subsets
+                  if below[x, y] and below[y, z] and not below[x, z]]
+    return reflexive, transitive
+
+
 def powerset_of(s):
     """Every subset of s, the empty one included, as frozensets."""
     s = sorted(s)

@@ -78,6 +78,21 @@ def test_pr_plus_examples():
     assert set(powerset_masks(p.atom_set("b"))) < set(pr_plus(p, p.atom_set("b")))
 
 
+def test_pr_plus_matches_literal_filter_on_raw_rows():
+    # raw rows over n + 1 bits: a closure may hold bit n, which no subset
+    # of the carrier has
+    rng = random.Random("pr-plus")
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        p = PreOrder(tuple(LABELS[:n]), tuple(rng.getrandbits(n + 1) for _ in range(n)))
+        rel = {(LABELS[a], LABELS[b]) for b in range(n) for a in bits(p.pred[b])}
+        for x in range(1 << n):
+            want = [y for y in range(1 << n)
+                    if shift_pairs(rel, to_labels(p, y), to_labels(p, x))]
+            want.sort(key=lambda y: (y.bit_count(), y))
+            assert pr_plus(p, x) == want, (p, x)
+
+
 # every entry point that walks all 2^n subsets stops at CARRIER_CAP
 @pytest.mark.parametrize("name", ["open_masks", "enumerate_opens", "pr_plus",
                                   "check_connection", "shifted_opens_match",

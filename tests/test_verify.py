@@ -6,15 +6,18 @@ import pytest
 
 from magmas import build
 from magmas import hierarchy as hm
+from magmas import shifting as sh
 from magmas import symbolic as sym
 from magmas import topology as tp
 from magmas.preorder import PreOrder, bits, format_atom_set, format_preorder
 from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
                            SuiteConfig, _chk_minimal_characterizations,
-                           _chk_open_family, render_report, replay,
+                           _chk_open_family, _chk_shift_laws,
+                           _chk_shift_minimal_contra, render_report, replay,
                            report_to_json, run_suite)
 
-from oracles import minimal_characterizations_of, open_family_witnesses, open_sets_of
+from oracles import (minimal_characterizations_of, open_family_witnesses, open_sets_of,
+                     shift_law_failures)
 
 GOLDEN = Path(__file__).parent / "golden" / "report_max2.txt"
 GOLDEN_MAX4 = Path(__file__).parent / "golden" / "report_max4.txt"
@@ -246,8 +249,10 @@ def test_capped_models_are_counted_and_partial():
     assert blob["models_capped"] == res.models_capped
 
 
-def test_connection_sweep_checks_every_five_atom_model():
-    cfg = SuiteConfig(suites=("shift-powerset-connection",), max_size=5)
+@pytest.mark.parametrize("suite", ["shift-preorder-laws", "shift-totality",
+                                   "shift-powerset-connection"])
+def test_connection_sweep_checks_every_five_atom_model(suite):
+    cfg = SuiteConfig(suites=(suite,), max_size=5)
     [res] = [r for r in run_suite(cfg).results if not r.skipped]
     assert res.models_checked == 1 + 4 + 29 + 355 + 6942 == 7331
     assert res.note == ""
@@ -464,3 +469,54 @@ def test_minimal_characterizations_match_literal_forms(monkeypatch, models_by_si
     assert not any(failing[:len(preorders)])
     assert 0 < sum(failing) < len(raw)
     assert parted > 0  # only non-open sets tell cones from classes
+
+
+def raw_row_models(seed, count, max_n):
+    """Seeded models with random rows over n + 1 bits: unclosed, mostly
+    non-reflexive, with bit n outside the carrier."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        out.append(PreOrder(tuple("abcdef"[:n]),
+                            tuple(rng.getrandbits(n + 1) for _ in range(n))))
+    return out
+
+
+def test_shift_law_witnesses_match_literal_loop(models_by_size):
+    # the table check against the 8^n loop: the same reflexive list, the
+    # same failing z, and each emitted triple a literal failure
+    raw = raw_row_models("shift-laws", 1000, 3)
+    preorders = [p for n in (1, 2, 3) for p in models_by_size[n]]
+    ctx = RunContext(SuiteConfig())
+    kinds = {"reflexive": 0, "transitive": 0}
+    for p in preorders + raw:
+        rel = {("abcdef"[a], p.labels[b]) for b in range(p.n) for a in bits(p.pred[b])}
+        subsets = [frozenset(p.set_labels(m)) for m in range(1 << p.n)]
+        text = {s: format_atom_set(p, m) for m, s in enumerate(subsets)}
+        reflexive, transitive = shift_law_failures(rel, subsets)
+        got = _chk_shift_laws(p, "m", ctx)
+        assert [w["x"] for w in got if w["kind"] == "reflexive"] == [text[x] for x in reflexive]
+        triples = [(w["x"], w["y"], w["z"]) for w in got if w["kind"] == "transitive"]
+        assert {z for _, _, z in triples} == {text[z] for _, _, z in transitive}, p
+        assert len(triples) == len({z for _, _, z in triples})  # one per failing z
+        assert set(triples) <= {tuple(text[s] for s in t) for t in transitive}
+        if p in preorders:
+            assert got == []
+        for w in got:
+            kinds[w["kind"]] += 1
+    assert kinds["reflexive"] and kinds["transitive"]
+
+
+def test_lifted_minimality_reads_inclusion_rows(monkeypatch, models_by_size):
+    # with star forced true, the check fires exactly when the pre-order of
+    # the opens under inclusion has a minimal element
+    monkeypatch.setattr(PreOrder, "satisfies_star", lambda self: (True, None))
+    ctx = RunContext(SuiteConfig())
+    raw = raw_row_models("lifted-minimality", 1000, 5)
+    verdicts = []
+    for p in [p for n in (1, 2, 3, 4) for p in models_by_size[n]] + raw:
+        has_minimal = bool(tp.minimal_opens(sh.preorder_of_opens(p)))
+        assert bool(_chk_shift_minimal_contra(p, "m", ctx)) == has_minimal, p
+        verdicts.append(has_minimal)
+    assert not all(verdicts[-len(raw):])
