@@ -1,0 +1,138 @@
+"""Check that the tests still kill each recorded mutant of the library.
+
+    python3 scripts/mutants.py
+
+Exports the committed files of HEAD with `git archive` into a temporary
+directory, as `bench_pair.py` does, and writes nothing in the checkout.
+First runs each test file that `MUTANTS` names on the unmutated export,
+which must pass. Then, for each mutant in turn, replaces its exact old
+text (which must occur exactly once in its file) with the new text, runs
+its test file with pytest, and puts the file back. A mutant is killed
+when its tests fail.
+
+Exits 1 if any old text does not match once, if any test file fails on
+the unmutated export, or if any mutant leaves its tests green; else 0.
+A mutant the code outgrows is retired here, with its reason recorded in
+CHANGES.md, never silently.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pair import export
+
+# (file, old text, new text, test file); each old text occurs exactly once
+MUTANTS = (
+    # the shifted-opens match without x's own bit
+    ("src/magmas/shifting.py",
+     "if opens & power[c] | 1 << x != opens & px:",
+     "if opens & power[c] != opens & px:",
+     "tests/test_shifting.py"),
+    # upper openness read from the predecessor rows
+    ("src/magmas/topology.py",
+     "up = closure_table(p.succ, n)",
+     "up = closure_table(p.pred, n)",
+     "tests/test_topology.py"),
+    # the class side of the minimal characterizations reading cones
+    ("src/magmas/verify.py",
+     "const_classes = tp.constant_rows([p.equiv_class(a) for a in range(p.n)])",
+     "const_classes = tp.constant_rows([p.predecessors(a) for a in range(p.n)])",
+     "tests/test_verify.py"),
+    # the brute side of the minimal characterizations forced true
+    ("src/magmas/verify.py",
+     "brute = family & power[x] == 1 << x",
+     "brute = True",
+     "tests/test_verify.py"),
+    # the closure table dropping bit 0 of each row
+    ("src/magmas/topology.py",
+     "row = rows[b]\n        t += [c | row for c in t]",
+     "row = rows[b] & ~1\n        t += [c | row for c in t]",
+     "tests/test_topology.py"),
+    # pr_plus listing subsets of bits outside the carrier
+    ("src/magmas/shifting.py",
+     "return powerset_masks(down_closure(p, x) & p.full_mask)",
+     "return powerset_masks(down_closure(p, x))",
+     "tests/test_shifting.py"),
+    # the shift laws: bit 0 dropped from y, from x, from the reflexive
+    # test; the top carrier bit dropped from the transitive test
+    ("src/magmas/verify.py",
+     "y = t[z] & full\n",
+     "y = t[z] & full & ~1\n",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "x = t[y] & full\n",
+     "x = t[y] & full & ~1\n",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "for x in range(1 << p.n) if x & ~t[x]]",
+     "for x in range(1 << p.n) if x & ~t[x] & ~1]",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "if x & ~t[z]:",
+     "if x & ~t[z] & full >> 1:",
+     "tests/test_verify.py"),
+    # the open-family pair loop without the (z, z) pairs
+    ("src/magmas/verify.py",
+     "for y in opens[i:]:",
+     "for y in opens[i + 1:]:",
+     "tests/test_verify.py"),
+    # constant rows without the test that a row lies inside its holders
+    ("src/magmas/topology.py",
+     "if r and not r & ~h}",
+     "if r}",
+     "tests/test_topology.py"),
+)
+
+
+def passes(tree: Path, test_file: str) -> bool:
+    """Does pytest pass on test_file in the tree, stopping at the first failure?
+
+    No bytecode is written, so no run can read a stale mutant's.
+    """
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                          test_file], cwd=tree, env=env, capture_output=True, text=True,
+                         timeout=600)
+    return out.returncode == 0
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        sha = export("HEAD", tree)
+        print(f"rev {sha}: {len(MUTANTS)} mutants")
+        for path, old, _, _ in MUTANTS:
+            found = (tree / path).read_text().count(old)
+            if found != 1:
+                print(f"STALE {path}: old text found {found} times: {old!r}")
+                bad += 1
+        for test_file in sorted({m[3] for m in MUTANTS}):
+            if not passes(tree, test_file):
+                print(f"RED {test_file} fails on the unmutated tree")
+                bad += 1
+        if bad:
+            return 1
+        for path, old, new, test_file in MUTANTS:
+            source = (tree / path).read_text()
+            (tree / path).write_text(source.replace(old, new))
+            try:
+                survived = passes(tree, test_file)
+            finally:
+                (tree / path).write_text(source)
+            print(f"{'SURVIVED' if survived else 'killed'}  {path}: {old!r} -> {new!r}"
+                  f"  [{test_file}]")
+            bad += survived
+    print(f"{bad} mutants survived" if bad else "every mutant killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

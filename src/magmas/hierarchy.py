@@ -218,8 +218,6 @@ class Hierarchy:
     # --- level construction ------------------------------------------------
 
     def level(self, n: int) -> HierarchyLevel:
-        if n < 1:
-            raise ValueError("levels are numbered from 1")
         self.build(n)
         return self._levels[n - 1]
 
@@ -229,6 +227,8 @@ class Hierarchy:
 
     def build(self, depth: int) -> list[HierarchyLevel]:
         """Materialize levels 1..depth (extending what is already built)."""
+        if depth < 1:
+            raise ValueError("levels are numbered from 1")
         while len(self._levels) < depth:
             if not self._levels:
                 self._levels.append(self._level1())

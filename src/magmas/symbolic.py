@@ -287,6 +287,8 @@ TRIPLE_SAMPLES = 500  # random triples drawn from the pool for transitivity
 def validate_model(model: SymbolicPreOrder, *, depth: int = 8,
                    seed: int = 0) -> ModelValidation:
     """Validate the axioms on all atoms up to ``depth`` plus random longer ones."""
+    if depth < 1:
+        raise ValueError(f"validation depth must be at least 1, got {depth}")
     rng = random.Random(seed)
     pool = list(model.atoms_up_to(depth))
     pool.extend(model.random_atom(rng, depth + 1, depth + 8) for _ in range(EXTRA_SAMPLES))

@@ -4,6 +4,10 @@ A set is lower open when it contains the predecessor cone of each of its
 members. The nonempty lower-open sets are the level-1 magmas; this module
 enumerates them, finds the minimal ones, and checks saturation.
 
+A minimal open is a predecessor cone equal to the cone of each of its
+members, so :func:`minimal_opens` reads them with :func:`constant_rows`,
+one pass over the atoms, and needs no enumeration.
+
 :func:`open_masks` lists them as bare bitmasks, for callers that work on
 masks; :func:`enumerate_opens` wraps the same list in validated
 :class:`DownSet` values.
@@ -195,16 +199,26 @@ def is_minimal_open(p: PreOrder, x: DownSet | AtomSet) -> bool:
     return True
 
 
+def constant_rows(rows: Sequence[AtomSet]) -> set[AtomSet]:
+    """The nonempty rows that equal the row of each of their members: the
+    sets x with ``all(rows[a] == x for a in bits(x))``.
+
+    ``holders[r]`` is the set of atoms whose row is r, so r qualifies when
+    it lies inside ``holders[r]``; that also keeps it inside the carrier.
+    """
+    holders: dict[AtomSet, AtomSet] = {}
+    for a, r in enumerate(rows):
+        holders[r] = holders.get(r, 0) | 1 << a
+    return {r for r, h in holders.items() if r and not r & ~h}
+
+
 def minimal_opens(p: PreOrder) -> list[DownSet]:
     """The minimal elements of the open-set family; never empty finitely.
 
-    Found pointwise, with no enumeration: a minimal open is a predecessor
-    cone that equals the cone of each of its members. Sorted by size then
-    bit pattern, as :func:`open_masks` sorts.
+    The :func:`constant_rows` of ``pred``, found with no enumeration and
+    sorted by size then bit pattern, as :func:`open_masks` sorts.
     """
-    outside = ~p.full_mask
-    cones = [s for s in set(p.pred) if not s & outside and is_minimal_open(p, s)]
-    return [DownSet(p, s) for s in sorted(cones, key=mask_order)]
+    return [DownSet(p, s) for s in sorted(constant_rows(p.pred), key=mask_order)]
 
 
 def is_saturated(p: PreOrder, s: AtomSet) -> bool:

@@ -17,13 +17,13 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import hierarchy as hm
 from . import shifting as sh
 from . import symbolic as sym
 from . import topology as tp
-from .preorder import (ENUM_HARD_CAP, AtomSet, CapExceeded, PreOrder, bits, build,
+from .preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, bits, build,
                        enumerate_preorders, format_atom_set, format_preorder)
 
 HIER_GROWTH_CAP = hm.GROWTH_CAP  # the name perfbench/hierarchy_queries.py reads
@@ -258,36 +258,19 @@ def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict
 def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     opens = tp.open_masks(p)
     # every union and meet below is a mask of the carrier, so openness is
-    # read from one closure table over all masks, not decided per pair or triple
+    # read from one closure table over all masks
     is_open = [not c & ~s for s, c in enumerate(tp.closure_table(p.pred, p.n))]
     out = []
-    unions, meets = set(), set()
+    # row-union openness is closed under ∪ and ∩: pairs, (z, z) too, decide any family
     for i, x in enumerate(opens):
         for y in opens[i:]:
             union, meet = x | y, x & y
-            unions.add(union)
-            meets.add(meet)
             if not is_open[union]:
                 out.append({"kind": "union", "x": format_atom_set(p, x),
                             "y": format_atom_set(p, y)})
             if meet and not is_open[meet]:
                 out.append({"kind": "intersection", "x": format_atom_set(p, x),
                             "y": format_atom_set(p, y)})
-    # a triple's verdict depends only on x|y, x&y and z, so when every
-    # distinct pair union and meet passes against every z, no triple fails
-    # and the ordered triple loop below would add nothing
-    if all(is_open[u | z] for u in unions for z in opens) and not any(
-            m & z and not is_open[m & z] for m in meets for z in opens):
-        return out
-    for x in opens:
-        for y in opens:
-            xy_union, xy_meet = x | y, x & y
-            for z in opens:
-                u = xy_union | z
-                m = xy_meet & z
-                if not is_open[u] or (m and not is_open[m]):
-                    out.append({"kind": "triple",
-                                "sets": [format_atom_set(p, s) for s in (x, y, z)]})
     return out
 
 
@@ -295,25 +278,12 @@ def _chk_duality(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     return [{"set": format_atom_set(p, s)} for s in tp.duality_failures(p)]
 
 
-def _constant_rows(rows: Sequence[AtomSet]) -> set[AtomSet]:
-    """The nonempty rows that equal the row of each of their members: the
-    sets x with ``all(rows[a] == x for a in bits(x))``.
-
-    ``holders[r]`` is the set of atoms whose row is r, so r qualifies when
-    it lies inside ``holders[r]``; that also keeps it inside the carrier.
-    """
-    holders: dict[AtomSet, AtomSet] = {}
-    for a, r in enumerate(rows):
-        holders[r] = holders.get(r, 0) | 1 << a
-    return {r for r, h in holders.items() if r and not r & ~h}
-
-
 def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     opens = tp.open_masks(p)
     family = sum(1 << x for x in opens)
     power = tp.subset_families(p.n)
-    const_cones = _constant_rows([p.predecessors(a) for a in range(p.n)])
-    const_classes = _constant_rows([p.equiv_class(a) for a in range(p.n)])
+    const_cones = tp.constant_rows([p.predecessors(a) for a in range(p.n)])
+    const_classes = tp.constant_rows([p.equiv_class(a) for a in range(p.n)])
     out = []
     for x in opens:
         brute = family & power[x] == 1 << x  # no other open inside x
@@ -386,7 +356,7 @@ def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # an open of the lifted family is minimal when its inclusion row is
     # constant, as in minimal-open-characterizations
-    has_minimal = bool(_constant_rows(tp.inclusion_rows(tp.open_masks(p))))
+    has_minimal = bool(tp.constant_rows(tp.inclusion_rows(tp.open_masks(p))))
     star, _ = p.satisfies_star()
     if has_minimal and star:
         return [{"kind": "minimal-despite-star"}]

@@ -81,6 +81,13 @@ def test_symbolic_validate(capsys):
     assert code == 0 and "status: pass" in out
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_symbolic_validate_rejects_depth_below_one(capsys, depth):
+    code, out, err = run(capsys, "symbolic", "validate", "--depth", depth)
+    assert code == 2 and "status" not in out
+    assert "validation depth must be at least 1" in err
+
+
 def test_symbolic_clustered_atoms(capsys):
     code, out, _ = run(capsys, "symbolic", "member", "--model", "clustered:2",
                        "--gens", "0#0", "--atom", "01#1")
@@ -106,6 +113,12 @@ def test_hierarchy_default_growth_cap(capsys, tmp_path):
     assert code == 0 and out.strip() == "7 18 81"
     code, _, err = run(capsys, "hierarchy", str(f), "--levels", "4")
     assert code == 2 and "level 3 has 81 elements, over growth cap 20" in err
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_hierarchy_rejects_levels_below_one(capsys, anti_file, levels):
+    code, out, err = run(capsys, "hierarchy", anti_file, "--levels", levels)
+    assert code == 2 and out == "" and "levels are numbered from 1" in err
 
 
 def test_hierarchy_print(capsys, anti_file):

@@ -93,6 +93,18 @@ def test_build_levels_sizes(antichain2, antichain3, chain3):
     assert len(set(sizes)) == len(sizes) or sizes == [3, 3, 3]
 
 
+def test_build_and_level_reject_depth_below_one(antichain2):
+    # after build(3) a negative depth must not slice off the top levels
+    h = h_of(antichain2)
+    h.build(3)
+    for depth in (0, -1, -2):
+        with pytest.raises(ValueError, match="numbered from 1"):
+            h.build(depth)
+        with pytest.raises(ValueError, match="numbered from 1"):
+            h.level(depth)
+    assert h.built_depth == 3
+
+
 def test_levels_disjoint_and_nested(models_by_size):
     for n in (1, 2, 3):
         for p in models_by_size[n]:

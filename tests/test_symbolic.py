@@ -92,6 +92,15 @@ def test_validation_passes(prefix, clustered):
     assert validate_model(clustered, depth=5).ok
 
 
+@pytest.mark.parametrize("depth", [0, -1, -3])
+def test_validation_rejects_depth_below_one(prefix, clustered, depth):
+    # at depth <= 0 no atom lies within the depth and the random ones could
+    # be the empty string, which no model accepts as an atom
+    for model in (prefix, clustered):
+        with pytest.raises(ValueError, match="at least 1"):
+            validate_model(model, depth=depth)
+
+
 # --- generated opens ----------------------------------------------------------
 
 

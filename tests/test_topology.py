@@ -6,7 +6,7 @@ from magmas import (CapExceeded, DownSet, build, down_closure, enumerate_opens,
                     is_lower_open, is_minimal_open, is_saturated, minimal_opens,
                     open_masks)
 from magmas.preorder import PreOrder, bits
-from magmas.topology import closure_table, duality_failures, subset_families
+from magmas.topology import closure_table, constant_rows, duality_failures, subset_families
 
 from oracles import (closure_pairs, duality_failures_of, is_down_closed,
                      literal_row_union, minimal_of, opens_of)
@@ -127,6 +127,22 @@ def test_minimal_opens_pointwise_matches_filtered_enumeration(models_by_size):
                      if not any(e.members != d.members and not e.members & ~d.members
                                 for e in opens)]
             assert minimal_opens(p) == brute
+
+
+def test_minimal_opens_match_literal_filter_on_raw_rows():
+    # any rows, not only closed ones: a minimal open is a row inside the
+    # carrier that equals the row of each of its members
+    found = wide = 0
+    for p in raw_models("minimal-opens-raw", 2000):
+        rows = p.pred
+        want = [s for s in set(rows) if s and not s >> p.n
+                and all(rows[a] == s for a in range(p.n) if s >> a & 1)]
+        want.sort(key=lambda s: (s.bit_count(), s))
+        assert constant_rows(rows) == set(want), p
+        assert [d.members for d in minimal_opens(p)] == want, p
+        found += bool(want)
+        wide += any(s.bit_count() > 1 for s in want)
+    assert found and wide
 
 
 def test_minimal_opens_past_the_open_enumeration_cap():

@@ -16,8 +16,8 @@ from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
                            _chk_shift_minimal_contra, render_report, replay,
                            report_to_json, run_suite)
 
-from oracles import (minimal_characterizations_of, open_family_witnesses, open_sets_of,
-                     shift_law_failures)
+from oracles import (mask_is_open, minimal_characterizations_of, open_family_witnesses,
+                     open_sets_of, shift_law_failures)
 
 GOLDEN = Path(__file__).parent / "golden" / "report_max2.txt"
 GOLDEN_MAX4 = Path(__file__).parent / "golden" / "report_max4.txt"
@@ -332,10 +332,10 @@ def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
 def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
     # seeded faults in the library's openness table; the opens are the
     # masks the faulty table accepts, some dropped, so the family need not
-    # be closed under unions or meets. The pair shortcut must report
-    # exactly the witnesses of the full pair and triple loops.
+    # be closed under unions or meets. The check must report exactly the
+    # pair witnesses of the oracle's loops, in loop order.
     real = tp.is_lower_open
-    checked = with_triples = 0
+    checked = failing = 0
     for n in (1, 2, 3):
         for idx, p in enumerate(models_by_size[n]):
             rng = random.Random(f"open-family:{n}:{idx}")
@@ -346,14 +346,41 @@ def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
             monkeypatch.setattr(tp, "open_masks", lambda q, o=opens: o)
             want = []
             for kind, masks in open_family_witnesses(opens, table):
-                sets = [format_atom_set(p, s) for s in masks]
-                want.append({"kind": kind, "sets": sets} if kind == "triple"
-                            else {"kind": kind, "x": sets[0], "y": sets[1]})
+                if kind != "triple":
+                    x, y = (format_atom_set(p, s) for s in masks)
+                    want.append({"kind": kind, "x": x, "y": y})
             got = _chk_open_family(p, f"n={n}#{idx}", RunContext(SuiteConfig()))
             assert got == want
             checked += 1
-            with_triples += any(w["kind"] == "triple" for w in got)
-    assert 0 < with_triples < checked  # both the shortcut and the full loop ran
+            failing += bool(got)
+    assert 0 < failing < checked
+
+
+def test_open_family_pairs_decide_larger_families(monkeypatch, models_by_size):
+    # with the real closure table, openness is closed under unions and
+    # meets on any rows, so the oracle's triple loop fails exactly when
+    # its pair loop does, and the check's witnesses are the pair list. The
+    # open lists are seeded: non-open masks injected, some opens dropped
+    preorders = [p for n in (1, 2, 3) for p in models_by_size[n]]
+    raw = raw_row_models("open-family-pairs", 1000, 4)
+    rng = random.Random("open-family-pairs")
+    ctx = RunContext(SuiteConfig())
+    verdicts = []
+    for p in preorders + raw:
+        is_open = [mask_is_open(p.pred, s) for s in range(1 << p.n)]
+        opens = [s for s in range(1, 1 << p.n) if is_open[s] and rng.random() >= 0.2]
+        if rng.random() < 0.3:
+            opens += [s for s in range(1, 1 << p.n) if not is_open[s]][:rng.randint(1, 2)]
+        opens.sort(key=lambda s: (s.bit_count(), s))
+        witnesses = open_family_witnesses(opens, is_open)
+        pairs = [(kind, masks) for kind, masks in witnesses if kind != "triple"]
+        assert any(kind == "triple" for kind, _ in witnesses) == bool(pairs), p
+        monkeypatch.setattr(tp, "open_masks", lambda q, o=opens: o)
+        got = _chk_open_family(p, "m", ctx)
+        assert got == [{"kind": kind, "x": format_atom_set(p, x), "y": format_atom_set(p, y)}
+                       for kind, (x, y) in pairs], p
+        verdicts.append(bool(pairs))
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_non_open_mask_in_open_masks_is_caught(monkeypatch):
@@ -516,7 +543,8 @@ def test_lifted_minimality_reads_inclusion_rows(monkeypatch, models_by_size):
     raw = raw_row_models("lifted-minimality", 1000, 5)
     verdicts = []
     for p in [p for n in (1, 2, 3, 4) for p in models_by_size[n]] + raw:
-        has_minimal = bool(tp.minimal_opens(sh.preorder_of_opens(p)))
+        lifted = sh.preorder_of_opens(p)  # read pointwise, not by constant_rows
+        has_minimal = any(tp.is_minimal_open(lifted, s) for s in lifted.pred)
         assert bool(_chk_shift_minimal_contra(p, "m", ctx)) == has_minimal, p
         verdicts.append(has_minimal)
     assert not all(verdicts[-len(raw):])
