@@ -87,6 +87,46 @@ MUTANTS = (
      "if r and not r & ~h}",
      "if r}",
      "tests/test_topology.py"),
+    # finite_level_of: no membership test, `<` for `<=`, no bound
+    ("src/magmas/hierarchy.py",
+     "if 1 <= n <= bound and not self.member_level(v, n):",
+     "if 1 <= n <= bound and not True:",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "return n if 1 <= n <= bound else None",
+     "return n if 1 <= n < bound else None",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "return n if 1 <= n <= bound else None",
+     "return n if 1 <= n else None",
+     "tests/test_hierarchy.py"),
+    # the level memo: a hit answering any level, non-members stored as members
+    ("src/magmas/hierarchy.py",
+     "return hit == n",
+     "return bool(hit)",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "self._member_cache[v] = n if ok else 0",
+     "self._member_cache[v] = n",
+     "tests/test_hierarchy.py"),
+    # find_open_partition: no openness test, no outside-bit test, outbound
+    # edges only, one pass instead of a fixpoint
+    ("src/magmas/hierarchy.py",
+     "if x >> len(rows) or row_union(rows, x) & ~x:",
+     "if x >> len(rows):",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "if x >> len(rows) or row_union(rows, x) & ~x:",
+     "if row_union(rows, x) & ~x:",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "if (rows[j] | 1 << j) & comp:",
+     "if 1 << j & comp:",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "while comp != last:",
+     "if comp != last:",
+     "tests/test_hierarchy.py"),
 )
 
 

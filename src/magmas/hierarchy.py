@@ -7,13 +7,18 @@ tier below (fast subset tests) and as a hereditarily finite value: an atom
 label, or a frozenset of values. The membership machinery decides finite
 levels recursively and emulates the first limit level and its successor
 through the level-slice criterion, within an explicit bound.
+
+A decided value is remembered once, with its level (0 for a non-member),
+and inclusion cones are cached as frozensets, so a repeated query is one
+dictionary lookup. Answers that carry no per-call data (outside,
+undecided, level n) are shared instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple
 
 from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_set, mask_order
 from .topology import (downset_masks, inclusion_rows, is_lower_open, open_masks,
@@ -32,9 +37,15 @@ def hf_rank(v: HF, memo: dict | None = None) -> int:
     """
     if isinstance(v, str):
         return 0
-    if memo is not None and v in memo:
-        return memo[v]
-    r = 1 + max((hf_rank(y, memo) for y in v), default=-1)
+    if memo is not None:
+        r = memo.get(v)
+        if r is not None:
+            return r
+    r = 0
+    for y in v:
+        ry = 1 if isinstance(y, str) else hf_rank(y, memo) + 1
+        if ry > r:
+            r = ry
     if memo is not None:
         memo[v] = r
     return r
@@ -106,9 +117,12 @@ def parse_value(text: str) -> HF:
     return v
 
 
-@dataclass(frozen=True)
-class MElem:
-    """A hierarchy member together with the level it lives at."""
+class MElem(NamedTuple):
+    """A hierarchy member together with the level it lives at.
+
+    Immutable and hashable; being a tuple, it also compares equal to the
+    plain pair ``(value, level)``.
+    """
 
     value: frozenset
     level: int
@@ -175,6 +189,21 @@ class Membership:
         return "undecided (bound too small)"
 
 
+_OUTSIDE = Membership("outside")
+_UNDECIDED = Membership("undecided")
+
+
+@lru_cache(maxsize=None)
+def _at_level(n: int) -> Membership:
+    """The shared answer "finite level n"."""
+    return Membership("level", n)
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
+
+
 @dataclass(frozen=True)
 class UnionReport:
     """The union of a hierarchy member and the three equivalent criteria.
@@ -204,15 +233,18 @@ class Hierarchy:
     """Materialized levels plus membership decisions over one pre-order.
 
     Level 1 is capped by ``topology.CARRIER_CAP``, level growth by growth_cap.
+    Each decided value is memoized once with its level, or 0 when it is not
+    a member of the level of its rank; each inclusion cone is cached as a
+    frozenset and handed out uncopied.
     """
 
     def __init__(self, base: PreOrder, *, growth_cap: int = GROWTH_CAP):
         self.base = base
         self.growth_cap = growth_cap
         self._levels: list[HierarchyLevel] = []
-        # value -> is it a member of level rank(value)
-        self._member_cache: dict[frozenset, bool] = {}
-        self._cone_cache: dict[tuple[frozenset, int], tuple[frozenset, ...]] = {}
+        # value -> its level, or 0 if not a member of level rank(value)
+        self._member_cache: dict[frozenset, int] = {}
+        self._cone_cache: dict[tuple[frozenset, int], frozenset] = {}
         self._rank_cache: dict[frozenset, int] = {}
 
     # --- level construction ------------------------------------------------
@@ -266,19 +298,22 @@ class Hierarchy:
         """
         if n < 1:
             raise ValueError("levels are numbered from 1")
-        # level-n members have rank exactly n; refuting early keeps deep
-        # probes from materializing levels they cannot need
-        if not isinstance(v, frozenset) or not v or self.rank(v) != n:
+        if not isinstance(v, frozenset):
             return False
         hit = self._member_cache.get(v)
-        if hit is None:
-            if n == 1:
-                hit = self._member1(v)
-            else:
-                hit = (all(self.member_level(y, n - 1) for y in v)
-                       and all(set(self._cone(y, n - 1)) <= v for y in v))
-            self._member_cache[v] = hit
-        return hit
+        if hit is not None:
+            return hit == n
+        # level-n members have rank exactly n; refuting early keeps deep
+        # probes from materializing levels they cannot need
+        if not v or self.rank(v) != n:
+            return False
+        if n == 1:
+            ok = self._member1(v)
+        else:
+            ok = (all(self.member_level(y, n - 1) for y in v)
+                  and all(self._cone(y, n - 1) <= v for y in v))
+        self._member_cache[v] = n if ok else 0
+        return ok
 
     def _member1(self, v: frozenset) -> bool:
         mask = 0
@@ -292,20 +327,24 @@ class Hierarchy:
             mask |= 1 << i
         return is_lower_open(self.base, mask)
 
-    def _cone(self, y: frozenset, n: int) -> tuple[frozenset, ...]:
+    def _cone(self, y: frozenset, n: int) -> frozenset:
         """The level-n elements included in y (y itself a level-n value)."""
         key = (y, n)
         hit = self._cone_cache.get(key)
         if hit is None:
-            lv = self.level(n)
-            hit = tuple(z for z in lv.values if z <= y)
+            hit = frozenset(z for z in self.level(n).values if z <= y)
             self._cone_cache[key] = hit
         return hit
 
     def finite_level_of(self, v: HF, bound: int) -> int | None:
         """v's finite level if at most bound, else None; a level-n member has rank n."""
-        n = self.rank(v)
-        return n if 1 <= n <= bound and self.member_level(v, n) else None
+        _check_bound(bound)
+        n = self._member_cache.get(v)
+        if n is None:
+            n = self.rank(v)
+            if 1 <= n <= bound and not self.member_level(v, n):
+                return None
+        return n if 1 <= n <= bound else None
 
     def membership(self, v: HF, bound: int) -> Membership:
         """Bounded decision: finite level, limit-successor member, or neither.
@@ -316,28 +355,29 @@ class Hierarchy:
         levels the outcome is conclusive for the whole hierarchy: tiers
         past the limit successor need genuinely limit-level members.
         """
+        _check_bound(bound)
         if not isinstance(v, frozenset) or not v:
-            return Membership("outside")
+            return _OUTSIDE
         n = self.finite_level_of(v, bound)
         if n is not None:
-            return Membership("level", n)
+            return _at_level(n)
         member_levels: dict[frozenset, int] = {}
         for y in v:
             if not isinstance(y, frozenset):
-                return Membership("outside")
+                return _OUTSIDE
             ly = self.finite_level_of(y, bound)
             if ly is None:
-                return Membership("outside" if self.rank(y) <= bound else "undecided")
+                return _OUTSIDE if self.rank(y) <= bound else _UNDECIDED
             member_levels[y] = ly
         present = sorted(set(member_levels.values()))
         if len(present) < 2:
             # one slice: finite membership was already refuted up to the
             # bound; past it we refuse to guess
-            return Membership("outside" if present[0] + 1 <= bound else "undecided")
+            return _OUTSIDE if present[0] + 1 <= bound else _UNDECIDED
         for k in present:
             slice_k = frozenset(y for y, ly in member_levels.items() if ly == k)
             if not self.member_level(slice_k, k + 1):
-                return Membership("outside")
+                return _OUTSIDE
         return Membership("limit", slice_levels=tuple(present))
 
     # --- powerset and union -------------------------------------------------
@@ -347,10 +387,10 @@ class Hierarchy:
 
         For a level-n member this is its inclusion cone within level n.
         """
-        if not self.member_level(x.value, x.level):
-            raise ValueError(f"value is not a level-{x.level} member")
-        cone = frozenset(self._cone(x.value, x.level))
-        return MElem(cone, x.level + 1)
+        value, level = x
+        if not self.member_level(value, level):
+            raise ValueError(f"value is not a level-{level} member")
+        return MElem(self._cone(value, level), level + 1)
 
     def union_report(self, v: HF, bound: int) -> UnionReport:
         mem = self.membership(v, bound)
@@ -371,7 +411,7 @@ class Hierarchy:
             # member of a limit member sits at the level of its rank
             if any(self.rank(y) < 2 for y in v):
                 return False
-            return all(set(self._cone(y, self.rank(y))) <= v for y in v)
+            return all(self._cone(y, self.rank(y)) <= v for y in v)
         return False
 
     def _criterion_unmixed(self, v: HF, mem: Membership, bound: int) -> bool:
@@ -390,6 +430,7 @@ class Hierarchy:
 
     def classify(self, v: HF, bound: int) -> str:
         """Trichotomy: every value is an atom, a magma, or a plain set."""
+        _check_bound(bound)
         if isinstance(v, str):
             return "atom"
         if not isinstance(v, frozenset):

@@ -232,6 +232,14 @@ def connection_failures(rel, carrier):
     return out
 
 
+def literal_rank(v):
+    """0 for an atom label or the empty set, else one more than the
+    largest rank among the members of frozenset v."""
+    if not isinstance(v, frozenset) or not v:
+        return 0
+    return 1 + max(literal_rank(y) for y in v)
+
+
 def ideals_of(elements, below):
     """Nonempty downward-closed subsets of an abstract finite poset."""
     elements = list(elements)

@@ -121,6 +121,14 @@ def test_hierarchy_rejects_levels_below_one(capsys, anti_file, levels):
     assert code == 2 and out == "" and "levels are numbered from 1" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_member_rejects_bound_below_one(capsys, chain_file, bound):
+    code, out, _ = run(capsys, "member", chain_file, "--value", "{a}", "--bound", "1")
+    assert code == 0 and out.strip() == "level 1"
+    code, out, err = run(capsys, "member", chain_file, "--value", "{a}", "--bound", bound)
+    assert code == 2 and out == "" and "bound must be at least 1" in err
+
+
 def test_hierarchy_print(capsys, anti_file):
     code, out, _ = run(capsys, "hierarchy", anti_file, "--levels", "2", "--print")
     assert code == 0

@@ -1,15 +1,17 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from magmas import (CapExceeded, Hierarchy, MElem, enumerate_opens,
-                    hf_rank, hf_union)
+from magmas import (CapExceeded, Hierarchy, MElem, Membership, PreOrder,
+                    enumerate_opens, hf_rank, hf_union)
 from magmas.hierarchy import (basic_open_partition_free, find_open_partition,
                               level_basic_open_partition_free, parse_value,
                               render_value)
 from magmas.preorder import bits
 
-from oracles import ideals_of, mask_is_open, open_split_exists
+from oracles import (ideals_of, literal_rank, mask_is_open, open_split_exists,
+                     opens_of, preorder_rows_by_pattern)
 
 
 def hset(*labels):
@@ -29,6 +31,39 @@ def test_rank():
     assert hf_rank(hset("a", "b")) == 1
     assert hf_rank(frozenset({hset("a")})) == 2
     assert hf_rank(frozenset({"a", hset("a")})) == 2
+
+
+def random_hf(rng, labels, depth):
+    """A seeded value of rank at most depth, mixing atoms and sets."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(labels)
+    return frozenset(random_hf(rng, labels, depth - 1)
+                     for _ in range(rng.randint(0, 3)))
+
+
+def test_rank_matches_literal_rank():
+    rng = random.Random("hf-rank")
+    values = [random_hf(rng, "abc", rng.randint(0, 5)) for _ in range(500)]
+    shared: dict = {}
+    for v in values:
+        own: dict = {}
+        assert hf_rank(v) == hf_rank(v, own) == hf_rank(v, shared) == literal_rank(v)
+        assert hf_rank(v, own) == literal_rank(v)  # answered from the memo
+        assert all(r == literal_rank(w) for w, r in own.items())
+    assert all(r == literal_rank(w) for w, r in shared.items())
+    assert max(shared.values()) >= 4 and any(isinstance(v, str) for v in values)
+
+
+def test_melem_is_an_immutable_record():
+    v = parse_value("{a,b}")
+    e = MElem(v, 1)
+    assert e == MElem(v, 1) and e != MElem(v, 2) and e != MElem(hset("a"), 1)
+    assert e == (v, 1) and hash(e) == hash(MElem(v, 1)) == hash((v, 1))
+    assert (e.value, e.level) == (v, 1) and len({e, MElem(v, 1)}) == 1
+    assert repr(e) == f"MElem(value={v!r}, level=1)"
+    for field in ("value", "level"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, None)
 
 
 def test_union():
@@ -153,6 +188,119 @@ def test_bottom_level_outside_level2(antichain2):
 # --- membership ----------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def levelled_bases():
+    """(pre-order, levels 1..3 as frozensets) for every base with n <= 3.
+
+    The bases come from the oracle's pattern walk, and each level from
+    ``opens_of`` and ``ideals_of``, so no library code picks a value.
+    """
+    out = []
+    for n in (1, 2, 3):
+        labels = "abc"[:n]
+        for rows in preorder_rows_by_pattern(n):
+            rel = {(labels[a], labels[b]) for b, row in enumerate(rows) for a in row}
+            levels = [frozenset(opens_of(rel, labels))]
+            while len(levels) < 3:
+                levels.append(frozenset(ideals_of(levels[-1], lambda z, w: z <= w)))
+            p = PreOrder.from_pred_rows(labels, [sum(1 << a for a in row) for row in rows])
+            out.append((p, levels))
+    return out
+
+
+def oracle_level(v, levels):
+    """v's level among 1..4, or None; level 4 is read off level 3 by its
+    definition: nonempty sets of level-3 values that hold every level-3
+    value included in one of their members."""
+    for k, lv in enumerate(levels, 1):
+        if v in lv:
+            return k
+    top = levels[-1]
+    if (isinstance(v, frozenset) and v and v <= top
+            and all(z in v for y in v for z in top if z <= y)):
+        return len(levels) + 1
+    return None
+
+
+def probe_values(levels, labels, rng):
+    """Every level value, near misses one member short, and random values."""
+    values = [v for lv in levels for v in sorted(lv, key=render_value)]
+    for v in list(values):
+        if len(v) > 1:
+            values.append(v - {rng.choice(sorted(v, key=render_value))})
+    values += [random_hf(rng, labels, rng.randint(0, 4)) for _ in range(40)]
+    values.append(levels[-1])  # the whole of level 3, a level-4 member
+    return values
+
+
+def test_member_memo_agrees_in_any_order(levelled_bases):
+    # one hierarchy answers every query twice, in two seeded orders, as a
+    # fresh hierarchy per query and the oracle do
+    rng = random.Random("member-memo")
+    seen_levels = set()
+    for p, levels in levelled_bases:
+        values = probe_values(levels, list(p.labels), rng)
+        level_of = {v: oracle_level(v, levels) for v in values}
+        queries = [(v, k) for v in values for k in (1, 2, 3, 4)]
+        fresh = {(v, k): h_of(p).member_level(v, k) for v, k in queries}
+        fresh_finite = {v: h_of(p).finite_level_of(v, 4) for v in values}
+        fresh_membership = {v: h_of(p).membership(v, 4) for v in values}
+        for v, k in queries:
+            assert fresh[v, k] == (level_of[v] == k), (p, v, k)
+            seen_levels.add((k, fresh[v, k]))
+        for v in values:
+            assert fresh_finite[v] == level_of[v], (p, v)
+            if level_of[v] is None:
+                assert fresh_membership[v].kind != "level", (p, v)
+            else:
+                assert fresh_membership[v] == Membership("level", level_of[v]), (p, v)
+        for order in ("first", "second"):
+            shuffled = queries * 2  # every query asked twice
+            random.Random(f"{order}:{p.pred}").shuffle(shuffled)
+            h = h_of(p)
+            for v, k in shuffled:
+                lv = level_of[v]
+                assert h.member_level(v, k) == fresh[v, k], (order, v, k)
+                assert h.finite_level_of(v, k) == (lv if lv and lv <= k else None)
+                assert h.finite_level_of(v, 4) == fresh_finite[v], (order, v)
+                assert h.membership(v, 4) == fresh_membership[v], (order, v)
+    assert seen_levels == {(k, ok) for k in (1, 2, 3, 4) for ok in (False, True)}
+
+
+def test_membership_answers_are_shared_and_frozen(antichain2):
+    h, other = h_of(antichain2), h_of(antichain2)
+    v = parse_value
+    shared = [
+        (h.membership("a", 3), other.membership(frozenset(), 3), Membership("outside")),
+        (h.membership(v("{{{{a}}}}"), 3), other.membership(v("{{{{b}}}}"), 3),
+         Membership("undecided")),
+        (h.membership(v("{a}"), 3), other.membership(v("{b}"), 3), Membership("level", 1)),
+        (h.membership(v("{{a}}"), 3), other.membership(v("{{b}}"), 3),
+         Membership("level", 2)),
+    ]
+    for got, again, built in shared:
+        assert got == built and got is again
+    limit = h.membership(v("{{a},{{a}}}"), 3)
+    assert limit == Membership("limit", slice_levels=(1, 2))
+    for got in [row[0] for row in shared] + [limit]:
+        with pytest.raises(FrozenInstanceError):
+            got.kind = "level"
+        with pytest.raises(FrozenInstanceError):
+            got.level = 7
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_bound_below_one_is_rejected(antichain2, bound):
+    h = h_of(antichain2)
+    v = parse_value("{a}")
+    assert h.finite_level_of(v, 1) == 1  # v is now memoized
+    assert h.membership(v, 1) == Membership("level", 1)
+    for query in (h.finite_level_of, h.membership, h.classify, h.union_report):
+        for value in (v, "a", frozenset()):
+            with pytest.raises(ValueError, match="bound must be at least 1"):
+                query(value, bound)
+
+
 def test_member_level_examples(antichain2):
     h = h_of(antichain2)
     assert h.member_level(parse_value("{{a}}"), 2)
@@ -188,7 +336,8 @@ def test_finite_level_of_is_rank(models_by_size):
         for lv in levels:
             for v in lv.values:
                 assert probe.finite_level_of(v, 3) == lv.index
-                assert probe.finite_level_of(v, lv.index - 1) is None
+                if lv.index > 1:
+                    assert probe.finite_level_of(v, lv.index - 1) is None
         assert probe.finite_level_of(frozenset(), 3) is None
         assert all(probe.finite_level_of(a, 3) is None for a in p.labels)
         # singletons and prefixes of a level that the next level lacks
