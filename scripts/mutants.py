@@ -127,6 +127,30 @@ MUTANTS = (
      "while comp != last:",
      "if comp != last:",
      "tests/test_hierarchy.py"),
+    # the runner's per-block memo: keyed without the model, kept across blocks
+    ("src/magmas/verify.py",
+     "key = (fn, id(p))",
+     "key = (fn,)",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "ctx._memo = {}",
+     "ctx._memo = {} if ctx._memo is None else ctx._memo",
+     "tests/test_verify.py"),
+    # open_masks blind to row bits outside the carrier
+    ("src/magmas/topology.py",
+     "if not t[x] & ~x]",
+     "if not t[x] & p.full_mask & ~x]",
+     "tests/test_topology.py"),
+    # inclusion_rows reading the columns of the bits inside masks[i]
+    ("src/magmas/topology.py",
+     "m = union & ~mi",
+     "m = union & mi",
+     "tests/test_topology.py"),
+    # the shifted-cone table read at the whole closure, not its carrier part
+    ("src/magmas/shifting.py",
+     "cone = cones[c & full]",
+     "cone = cones[c]",
+     "tests/test_shifting.py"),
 )
 
 

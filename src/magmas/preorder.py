@@ -78,31 +78,39 @@ class PreOrder:
         if not 0 <= a < self.n:
             raise IndexError(f"atom {a} outside carrier of size {self.n}")
 
+    # the accessors test the range with one chained comparison and call
+    # _check_atom, which raises, only when it fails
+
     def leq(self, a: int, b: int) -> bool:
         """a <= b, i.e. a depends on b."""
-        self._check_atom(a)
-        self._check_atom(b)
+        if not 0 <= a < self.n > b >= 0:
+            self._check_atom(a)
+            self._check_atom(b)
         return bool(self.pred[b] >> a & 1)
 
     def strict(self, a: int, b: int) -> bool:
         """a < b: a <= b but not b <= a."""
-        self._check_atom(a)
-        self._check_atom(b)
+        if not 0 <= a < self.n > b >= 0:
+            self._check_atom(a)
+            self._check_atom(b)
         return bool(self.pred[b] >> a & 1) and not self.pred[a] >> b & 1
 
     def predecessors(self, a: int) -> AtomSet:
         """The principal cone {b : b <= a}; always contains a."""
-        self._check_atom(a)
+        if not 0 <= a < self.n:
+            self._check_atom(a)
         return self.pred[a]
 
     def successors(self, a: int) -> AtomSet:
         """{b : a <= b}, the dual cone."""
-        self._check_atom(a)
+        if not 0 <= a < self.n:
+            self._check_atom(a)
         return self.succ[a]
 
     def equiv_class(self, a: int) -> AtomSet:
         """Atoms mutually dependent with a."""
-        self._check_atom(a)
+        if not 0 <= a < self.n:
+            self._check_atom(a)
         return self.pred[a] & self.succ[a]
 
     def equiv_classes(self) -> list[AtomSet]:

@@ -10,7 +10,10 @@ one pass over the atoms, and needs no enumeration.
 
 :func:`open_masks` lists them as bare bitmasks, for callers that work on
 masks; :func:`enumerate_opens` wraps the same list in validated
-:class:`DownSet` values.
+:class:`DownSet` values. It reads them off the :func:`closure_table` of
+``pred`` (x is open when ``t[x]`` stays inside x), in the mask order kept
+once per carrier size; :func:`downset_masks`, the plain subset walk, is
+left to the hierarchy's level growth.
 
 The predicates read the relation's rows directly: ``pred`` for lower
 openness and down-closure, the stored transpose ``succ`` for upper
@@ -19,13 +22,16 @@ openness. One set at a time they share one loop over its members,
 reads :func:`closure_table` instead, which holds ``row_union`` of every
 mask at one OR each, and :func:`subset_families`, which holds the
 subsets of every mask as one 2^n-bit int (Knuth's broadword set
-families, TAOCP 4A 7.1.3). :func:`duality_failures` decides complement
-duality over the whole carrier from two such tables.
+families, TAOCP 4A 7.1.3); it depends on n alone, so it is built once
+per size. :func:`duality_failures` decides complement duality over the
+whole carrier from two such tables, and :func:`inclusion_rows` orders a
+family by inclusion one column (bit) at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_atom_set, mask_order
@@ -102,18 +108,26 @@ def closure_table(rows: Sequence[AtomSet], n: int) -> list[AtomSet]:
     return t
 
 
-def subset_families(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def subset_families(n: int) -> tuple[int, ...]:
     """Entry x is the family of subsets of x, as an int whose bit y is set
     exactly when y is a subset of x.
 
     Built atom by atom, as :func:`closure_table` is: the subsets of
     x + 2^b are those of x and each of them with atom b added, which is
-    the same family shifted up by 2^b bits.
+    the same family shifted up by 2^b bits. It depends on n alone, so it
+    is built once per carrier size and shared.
     """
     t = [1]  # the empty set holds only itself
     for b in range(n):
         t += [f | f << (1 << b) for f in t]
-    return t
+    return tuple(t)
+
+
+@lru_cache(maxsize=None)
+def _ordered_masks(n: int) -> tuple[AtomSet, ...]:
+    """The nonempty masks below 2^n in ``mask_order``, sorted once per n."""
+    return tuple(sorted(range(1, 1 << n), key=mask_order))
 
 
 def duality_failures(p: PreOrder) -> list[AtomSet]:
@@ -158,21 +172,45 @@ def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:
     """Row i is the mask of the j with masks[j] a subset of masks[i].
 
     These are the predecessor rows of the family ordered by inclusion.
+    Read by columns: ``cols[b]`` is the mask of the j whose masks[j] holds
+    bit b, so masks[j] lies inside masks[i] exactly when j is in no
+    column of a bit outside masks[i]. That is one step per family member
+    and bit, not one per pair of members.
     """
+    every = (1 << len(masks)) - 1
+    union = 0
+    for m in masks:
+        union |= m
+    cols = [0] * union.bit_length()
+    bit = 1  # 1 << j for masks[j]
+    for m in masks:
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+        bit <<= 1
     rows = []
     for mi in masks:
-        row = 0
-        for j, mj in enumerate(masks):
-            if not mj & ~mi:
-                row |= 1 << j
-        rows.append(row)
+        outside = 0
+        m = union & ~mi  # the bits outside masks[i]
+        while m:
+            low = m & -m
+            outside |= cols[low.bit_length() - 1]
+            m ^= low
+        rows.append(every & ~outside)
     return tuple(rows)
 
 
 def open_masks(p: PreOrder) -> list[AtomSet]:
-    """Masks of the nonempty lower-open subsets, sorted by size then bit pattern."""
+    """Masks of the nonempty lower-open subsets, sorted by size then bit pattern.
+
+    Read from the :func:`closure_table` of ``pred``: x is open exactly
+    when ``t[x]`` stays inside x, bits outside the carrier included. The
+    masks are visited in the order :func:`_ordered_masks` keeps per n.
+    """
     check_carrier_cap(p)
-    return sorted(downset_masks(p.pred, p.n), key=mask_order)
+    t = closure_table(p.pred, p.n)
+    return [x for x in _ordered_masks(p.n) if not t[x] & ~x]
 
 
 def enumerate_opens(p: PreOrder) -> list[DownSet]:

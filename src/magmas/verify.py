@@ -9,6 +9,16 @@ instance, and the seed and depths the run used. A check draws its
 instances only from those values, the suite id and the model name, so
 replay re-runs the suite's own check on the recorded rows under the
 recorded seed and depths and sees the same instances.
+
+``run_suite`` enumerates the models once and runs the finite suites
+block by block: each block of models is checked by every selected suite
+in registry order, each within its own size limit, and then the symbolic
+suites run. Facts that several suites ask of one model (its open masks,
+its closure table, its minimal opens, the star condition) are worked out
+once per block through ``RunContext.once`` and dropped with the block;
+replay and a check called directly compute them afresh. A suite's
+``seconds`` add up over the blocks, so a shared fact is charged to the
+first suite that asks for it, and enumeration falls in no suite.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ HIER_GROWTH_CAP = hm.GROWTH_CAP  # the name perfbench/hierarchy_queries.py reads
 HIER_MAX_N = 3
 MIXED_FAMILY_SIZE = 20
 TRICHOTOMY_CORPUS = 100
+_BLOCK = 256  # models per block of the finite runner
+_MISSING = object()
 
 
 class ConfigError(ValueError):
@@ -162,13 +174,32 @@ class Report:
 
 
 class RunContext:
-    """Shared per-run caches: enumerated models and their hierarchies."""
+    """Shared per-run caches: enumerated models and their hierarchies, and
+    the memo of :meth:`once` while :func:`run_suite` walks a block."""
 
     def __init__(self, cfg: SuiteConfig, model_hook: Callable | None = None):
         self.cfg = cfg
         self.model_hook = model_hook
         self._models: dict[int, list[tuple[str, PreOrder]]] = {}
         self._hier: dict[PreOrder, hm.Hierarchy] = {}
+        self._memo: dict | None = None  # a dict only inside run_suite's block loop
+
+    def once(self, fn: Callable, p: PreOrder):
+        """``fn(p)``, computed at most once per block of :func:`run_suite`.
+
+        Keyed by the function and the model's identity; the block's models
+        stay alive as long as its memo does. Outside the block loop (replay,
+        a check called directly) every call computes afresh. A call that
+        raises stores nothing, so the next suite that asks raises too.
+        """
+        memo = self._memo
+        if memo is None:
+            return fn(p)
+        key = (fn, id(p))
+        out = memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = memo[key] = fn(p)
+        return out
 
     def finite_models(self, max_n: int) -> list[tuple[str, PreOrder]]:
         out = []
@@ -197,6 +228,30 @@ class RunContext:
 # --- finite suite checks ------------------------------------------------------
 # Each check takes (p, model_name, ctx) and returns a list of witness dicts;
 # an empty list means the statement held on that model.
+#
+# Facts that several suites ask of one model go through these helpers,
+# which share them by ctx.once within a block of the runner. Each looks
+# up its library function at call time, so a patched one is what runs.
+
+
+def _opens(p: PreOrder, ctx: RunContext) -> list[int]:
+    return ctx.once(tp.open_masks, p)
+
+
+def _pred_closure(p: PreOrder) -> list[int]:
+    return tp.closure_table(p.pred, p.n)
+
+
+def _pred_table(p: PreOrder, ctx: RunContext) -> list[int]:
+    return ctx.once(_pred_closure, p)
+
+
+def _minimal(p: PreOrder, ctx: RunContext) -> list[tp.DownSet]:
+    return ctx.once(tp.minimal_opens, p)
+
+
+def _star(p: PreOrder, ctx: RunContext) -> tuple[bool, int | None]:
+    return ctx.once(PreOrder.satisfies_star, p)
 
 
 def _chk_closure_idempotent(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
@@ -246,7 +301,7 @@ def _chk_cone_transitive(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    ok, witness = p.satisfies_star()
+    ok, witness = _star(p, ctx)
     if ok:
         return [{"kind": "star-satisfied-finitely"}]
     has_strict_pred = any(p.strict(b, witness) for b in range(p.n))
@@ -256,10 +311,10 @@ def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict
 
 
 def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = tp.open_masks(p)
+    opens = _opens(p, ctx)
     # every union and meet below is a mask of the carrier, so openness is
     # read from one closure table over all masks
-    is_open = [not c & ~s for s, c in enumerate(tp.closure_table(p.pred, p.n))]
+    is_open = [not c & ~s for s, c in enumerate(_pred_table(p, ctx))]
     out = []
     # row-union openness is closed under ∪ and ∩: pairs, (z, z) too, decide any family
     for i, x in enumerate(opens):
@@ -279,7 +334,7 @@ def _chk_duality(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = tp.open_masks(p)
+    opens = _opens(p, ctx)
     family = sum(1 << x for x in opens)
     power = tp.subset_families(p.n)
     const_cones = tp.constant_rows([p.predecessors(a) for a in range(p.n)])
@@ -298,15 +353,15 @@ def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> l
 
 
 def _chk_star_iff_no_minimal(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    star, _ = p.satisfies_star()
-    no_minimal = not tp.minimal_opens(p)
+    star, _ = _star(p, ctx)
+    no_minimal = not _minimal(p, ctx)
     if star != no_minimal:
         return [{"star": star, "no_minimal": no_minimal}]
     return []
 
 
 def _chk_cones_contain_minimal(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    minimal = [d.members for d in tp.minimal_opens(p)]
+    minimal = [d.members for d in _minimal(p, ctx)]
     out = []
     for a in range(p.n):
         cone = p.predecessors(a)
@@ -320,7 +375,7 @@ def _chk_shift_laws(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # is t[z] & full, and t is monotone, so the largest x below some y
     # below z is t[y] & full for that y: transitivity fails at z exactly
     # when this x escapes t[z], and (x, y, z) is then a failing triple
-    t = tp.closure_table(p.pred, p.n)
+    t = _pred_table(p, ctx)
     full = p.full_mask
     out = [{"kind": "reflexive", "x": format_atom_set(p, x)}
            for x in range(1 << p.n) if x & ~t[x]]
@@ -356,8 +411,8 @@ def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # an open of the lifted family is minimal when its inclusion row is
     # constant, as in minimal-open-characterizations
-    has_minimal = bool(tp.constant_rows(tp.inclusion_rows(tp.open_masks(p))))
-    star, _ = p.satisfies_star()
+    has_minimal = bool(tp.constant_rows(tp.inclusion_rows(_opens(p, ctx))))
+    star, _ = _star(p, ctx)
     if has_minimal and star:
         return [{"kind": "minimal-despite-star"}]
     return []
@@ -863,17 +918,12 @@ def _witnesses(suite: Suite, model: object, name: str, ctx: RunContext) -> list[
         return [{"kind": "exception", "type": type(exc).__name__, "message": str(exc)}]
 
 
-def _run_one(suite: Suite, ctx: RunContext) -> SuiteResult:
-    cfg = ctx.cfg
+def _run_models(suite: Suite, models: list, ctx: RunContext, result: SuiteResult) -> None:
+    """Check models in turn, adding to result: counts, failures in model
+    order, and the time taken."""
     finite = suite.scope == "finite"
-    recorded = {k: getattr(cfg, k) for k in RECORDED_CONFIG}
-    result = SuiteResult(suite.suite_id, suite.statement, 0)
+    recorded = {k: getattr(ctx.cfg, k) for k in RECORDED_CONFIG}
     start = time.perf_counter()
-    if finite:
-        limit = min(cfg.max_size, suite.max_n) if suite.max_n else cfg.max_size
-        models = ctx.finite_models(limit)
-    else:
-        models = [(name, sym.model_by_name(name)) for name in suite.models]
     for name, model in models:
         try:
             witnesses = _witnesses(suite, model, name, ctx)
@@ -899,22 +949,57 @@ def _run_one(suite: Suite, ctx: RunContext) -> SuiteResult:
                 message=f"{suite.suite_id} failed on {name}",
                 config=dict(recorded),
             ))
-    result.seconds = time.perf_counter() - start
-    return result
+    result.seconds += time.perf_counter() - start
+
+
+def _run_finite(suites: list[Suite], ctx: RunContext,
+                results: dict[str, SuiteResult]) -> None:
+    """Run the finite suites block by block over the enumerated models.
+
+    The models are enumerated once, before any suite runs. Each block of
+    ``_BLOCK`` models is checked by every suite in registry order, each
+    over the block's models within its own size limit, and the block's
+    shared facts (:meth:`RunContext.once`) are dropped when it ends. So a
+    suite's counts and failures come out in model order, as when it runs
+    alone, and its seconds add up over the blocks.
+    """
+    max_size = ctx.cfg.max_size
+    limits = [min(max_size, s.max_n) if s.max_n else max_size for s in suites]
+    models = ctx.finite_models(max(limits))
+    # the models are ordered by size, so a limit's scope is a prefix
+    ends = [len(ctx.finite_models(limit)) for limit in limits]
+    try:
+        for start in range(0, len(models), _BLOCK):
+            ctx._memo = {}
+            for suite, end in zip(suites, ends):
+                block = models[start:min(start + _BLOCK, end)]
+                if block:
+                    _run_models(suite, block, ctx, results[suite.suite_id])
+    finally:
+        ctx._memo = None
 
 
 def run_suite(cfg: SuiteConfig, _model_hook: Callable | None = None) -> Report:
-    """Run the selected suites; unselected ones appear as skipped."""
+    """Run the selected suites; unselected ones appear as skipped.
+
+    The finite suites run first, block by block (:func:`_run_finite`), then
+    the symbolic ones, each over its models.
+    """
     cfg.validate()
     ctx = RunContext(cfg, _model_hook)
-    selected = set(cfg.selected())
-    results = []
-    for suite_id, suite in SUITES.items():
-        if suite_id not in selected:
-            results.append(SuiteResult(suite_id, suite.statement, 0, skipped=True))
-            continue
-        results.append(_run_one(suite, ctx))
-    return Report(cfg, results)
+    chosen = set(cfg.selected())
+    selected = [s for sid, s in SUITES.items() if sid in chosen]
+    results = {s.suite_id: SuiteResult(s.suite_id, s.statement, 0) for s in selected}
+    finite = [s for s in selected if s.scope == "finite"]
+    if finite:
+        _run_finite(finite, ctx, results)
+    for suite in selected:
+        if suite.scope != "finite":
+            models = [(name, sym.model_by_name(name)) for name in suite.models]
+            _run_models(suite, models, ctx, results[suite.suite_id])
+    return Report(cfg, [results[sid] if sid in results
+                        else SuiteResult(sid, s.statement, 0, skipped=True)
+                        for sid, s in SUITES.items()])
 
 
 def replay(blob: dict | Counterexample, cfg: SuiteConfig | None = None) -> bool:

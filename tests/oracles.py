@@ -241,15 +241,47 @@ def literal_rank(v):
 
 
 def ideals_of(elements, below):
-    """Nonempty downward-closed subsets of an abstract finite poset."""
+    """Nonempty downward-closed subsets of a finite set, as a set of frozensets.
+
+    ``below(z, w)`` says z lies below w; it need not be reflexive or
+    transitive. A set closed under it is closed under its
+    reflexive-transitive closure too, so the ideals are the nonempty
+    unions of the principal ones: each element's down-closure is grown to
+    a fixpoint, and the family of them is then closed under union.
+    """
     elements = list(elements)
-    out = []
+    principal = set()
+    for w in elements:
+        down, todo = {w}, [w]
+        while todo:
+            y = todo.pop()
+            for z in elements:
+                if z not in down and below(z, y):
+                    down.add(z)
+                    todo.append(z)
+        principal.add(frozenset(down))
+    family = set()
+    for d in principal:
+        family |= {d} | {f | d for f in family}
+    return family
+
+
+def _ideals_by_subsets(elements, below):
+    """``ideals_of`` by trying every subset: slow, kept to test it."""
+    elements = list(elements)
+    out = set()
     for r in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, r):
             s = set(combo)
             if all(below(z, w) <= (z in s) for w in s for z in elements):
-                out.append(frozenset(s))
+                out.add(frozenset(s))
     return out
+
+
+def inclusion_rows_of(masks):
+    """Row i is the int mask of the j with masks[j] inside masks[i], pair by pair."""
+    return tuple(sum(1 << j for j, mj in enumerate(masks) if mj | mi == mi)
+                 for mi in masks)
 
 
 def same_lower_open_family(rel, labels):

@@ -9,9 +9,11 @@ from magmas.hierarchy import (basic_open_partition_free, find_open_partition,
                               level_basic_open_partition_free, parse_value,
                               render_value)
 from magmas.preorder import bits
+from magmas.topology import inclusion_rows
 
-from oracles import (ideals_of, literal_rank, mask_is_open, open_split_exists,
-                     opens_of, preorder_rows_by_pattern)
+from oracles import (_ideals_by_subsets, closure_pairs, ideals_of, inclusion_rows_of,
+                     literal_rank, mask_is_open, open_split_exists, opens_of,
+                     preorder_rows_by_pattern)
 
 
 def hset(*labels):
@@ -206,6 +208,28 @@ def levelled_bases():
             p = PreOrder.from_pred_rows(labels, [sum(1 << a for a in row) for row in rows])
             out.append((p, levels))
     return out
+
+
+def test_grown_ideals_match_the_subset_walk():
+    # seeded relations on k <= 8 points: partial orders (closed, with the
+    # cycles' back edges dropped) and plain relations, not transitive
+    rng = random.Random("ideals")
+    for case in range(60):
+        k = rng.randint(1, 8)
+        pairs = {(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 2 * k))}
+        if case % 2:
+            pairs = closure_pairs(range(k), {(a, b) for a, b in pairs if a < b})
+        below = (lambda z, w, r=frozenset(pairs): (z, w) in r)
+        assert ideals_of(range(k), below) == _ideals_by_subsets(range(k), below), pairs
+
+
+def test_inclusion_rows_on_oracle_levels(levelled_bases):
+    # each level's members as masks over the level below, ordered by render
+    for _, levels in levelled_bases:
+        for lower, upper in zip(levels, levels[1:]):
+            index = {v: i for i, v in enumerate(sorted(lower, key=render_value))}
+            masks = [sum(1 << index[v] for v in w) for w in sorted(upper, key=render_value)]
+            assert inclusion_rows(masks) == inclusion_rows_of(masks)
 
 
 def oracle_level(v, levels):

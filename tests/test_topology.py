@@ -5,10 +5,11 @@ import pytest
 from magmas import (CapExceeded, DownSet, build, down_closure, enumerate_opens,
                     is_lower_open, is_minimal_open, is_saturated, minimal_opens,
                     open_masks)
-from magmas.preorder import PreOrder, bits
-from magmas.topology import closure_table, constant_rows, duality_failures, subset_families
+from magmas.preorder import PreOrder, bits, enumerate_preorders, mask_order
+from magmas.topology import (closure_table, constant_rows, downset_masks, duality_failures,
+                             inclusion_rows, subset_families)
 
-from oracles import (closure_pairs, duality_failures_of, is_down_closed,
+from oracles import (closure_pairs, duality_failures_of, inclusion_rows_of, is_down_closed,
                      literal_row_union, minimal_of, opens_of)
 
 NAMES = "abcdef"
@@ -194,8 +195,34 @@ def test_closure_table_matches_literal_union(models_by_size):
         assert [not c & ~x for x, c in enumerate(table)] == [
             is_lower_open(p, x) for x in range(1 << p.n)]
     for n in range(6):
-        assert subset_families(n) == [
-            sum(1 << y for y in range(1 << n) if not y & ~x) for x in range(1 << n)]
+        # built once per n and shared, so a tuple that no caller can change
+        assert subset_families(n) == tuple(
+            sum(1 << y for y in range(1 << n) if not y & ~x) for x in range(1 << n))
+        assert subset_families(n) is subset_families(n)
+
+
+def test_open_masks_match_the_subset_walk():
+    # the closure-table reading against the downset_masks walk, sorted:
+    # every pre-order with n <= 5, then raw rows whose bit n lies outside
+    # the carrier, which keeps every set holding a row with it from opening
+    models = [p for n in range(1, 6) for p in enumerate_preorders(n)]
+    raw = list(raw_models("open-masks", 1000))
+    outside = 0
+    for p in models + raw:
+        assert open_masks(p) == sorted(downset_masks(p.pred, p.n), key=mask_order), p
+        outside += any(row >> p.n for row in p.pred)
+    assert outside > 300
+
+
+def test_inclusion_rows_match_pairwise_oracle():
+    # seeded families: repeats, the empty mask, masks wider than the family
+    rng = random.Random("inclusion-rows")
+    for _ in range(500):
+        width = rng.randint(1, 12)
+        masks = [rng.getrandbits(width) & rng.getrandbits(width)
+                 for _ in range(rng.randint(0, 40))]
+        assert inclusion_rows(masks) == inclusion_rows_of(masks), masks
+    assert inclusion_rows([]) == ()
 
 
 def test_duality_failures_match_literal_closure_tests(models_by_size):

@@ -9,11 +9,11 @@ from magmas import hierarchy as hm
 from magmas import shifting as sh
 from magmas import symbolic as sym
 from magmas import topology as tp
-from magmas.preorder import PreOrder, bits, format_atom_set, format_preorder
-from magmas.verify import (ConfigError, Counterexample, RunContext, SUITES,
+from magmas.preorder import CapExceeded, PreOrder, bits, format_atom_set, format_preorder
+from magmas.verify import (_BLOCK, ConfigError, Counterexample, RunContext, SUITES,
                            SuiteConfig, _chk_minimal_characterizations,
                            _chk_open_family, _chk_shift_laws,
-                           _chk_shift_minimal_contra, render_report, replay,
+                           _chk_shift_minimal_contra, _witnesses, render_report, replay,
                            report_to_json, run_suite)
 
 from oracles import (mask_is_open, minimal_characterizations_of, open_family_witnesses,
@@ -548,3 +548,113 @@ def test_lifted_minimality_reads_inclusion_rows(monkeypatch, models_by_size):
         assert bool(_chk_shift_minimal_contra(p, "m", ctx)) == has_minimal, p
         verdicts.append(has_minimal)
     assert not all(verdicts[-len(raw):])
+
+
+# --- the block-wise runner and its per-block memo -----------------------------
+
+FINITE_SUITES = [s for s in SUITES.values() if s.scope == "finite"]
+MEMO_SUITES = ("finite-star-fails", "open-family-closure", "minimal-open-characterizations",
+               "star-iff-no-minimal", "cones-contain-minimal", "shift-preorder-laws",
+               "shifted-minimality-contrapositive")
+
+
+def recording_hook(fault_seed=None):
+    """A _model_hook that keeps every model it hands out, in order. With a
+    seed it swaps about one model in six for seeded raw rows inside the
+    carrier: unclosed and mostly non-reflexive."""
+    rng = random.Random(fault_seed)
+    seen = []
+
+    def hook(p):
+        if fault_seed is not None and rng.random() < 1 / 6:
+            p = PreOrder(p.labels, tuple(rng.getrandbits(p.n) for _ in range(p.n)))
+        seen.append(p)
+        return p
+    return hook, seen
+
+
+@pytest.mark.parametrize("fault_seed", [None, "memo-faults"])
+def test_memo_never_changes_a_verdict(fault_seed):
+    # every finite suite on all 389 models with n <= 4: the run's witnesses
+    # per model are a direct call's with a fresh context, in the same order,
+    # and the capped models are the ones where the direct call stops
+    cfg = SuiteConfig(suites=tuple(s.suite_id for s in FINITE_SUITES), max_size=4)
+    hook, seen = recording_hook(fault_seed)
+    report = run_suite(cfg, _model_hook=hook)
+    assert len(seen) == 389
+    counts: dict[int, int] = {}
+    models = []
+    for p in seen:
+        models.append((f"n={p.n}#{counts.get(p.n, 0)}", p))
+        counts[p.n] = counts.get(p.n, 0) + 1
+    got: dict[tuple[str, str], list] = {}
+    for cx in report.failures:
+        got.setdefault((cx.suite, cx.model), []).append(cx.witness)
+    results = {r.suite_id: r for r in report.results}
+    for suite in FINITE_SUITES:
+        limit = min(cfg.max_size, suite.max_n or cfg.max_size)
+        capped = 0
+        for name, p in models:
+            if p.n > limit:
+                continue
+            try:
+                want = _witnesses(suite, p, name, RunContext(cfg))
+            except CapExceeded:
+                capped += 1
+                continue
+            assert got.pop((suite.suite_id, name), []) == want, (suite.suite_id, name)
+        assert results[suite.suite_id].models_capped == capped
+    assert not got
+    assert report.passed == (fault_seed is None)
+
+
+def test_patched_open_masks_reaches_the_next_run(monkeypatch):
+    # {b} is not open in the chain a <= b; a memo that outlived a run
+    # would hand the second run the first run's open list
+    cfg = SuiteConfig(suites=("open-family-closure",), max_size=2)
+    assert run_suite(cfg).passed
+    real = tp.open_masks
+    monkeypatch.setattr(tp, "open_masks",
+                        lambda p: real(p) + [0b10] if p.pred == (0b01, 0b11) else real(p))
+    assert {cx.rows for cx in run_suite(cfg).failures} == {(0b01, 0b11)}
+    monkeypatch.undo()
+    assert run_suite(cfg).passed
+
+
+def test_once_computes_afresh_outside_the_runner(chain3):
+    ctx = RunContext(SuiteConfig())
+    calls = []
+
+    def fact(p):
+        calls.append(p)
+        return len(calls)
+    assert [ctx.once(fact, chain3) for _ in range(3)] == [1, 2, 3]
+
+
+def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
+    # 389 models are two blocks: the memo never holds more than one
+    # block's facts, is gone after the run, and each model's open list is
+    # worked out once for the three suites that read it
+    real_once = RunContext.once
+    sizes, fns, contexts = [], set(), set()
+
+    def spy(self, fn, p):
+        out = real_once(self, fn, p)
+        if self._memo is not None:
+            sizes.append(len(self._memo))
+        fns.add(fn)
+        contexts.add(self)
+        return out
+    real_opens = tp.open_masks
+    opened = []
+
+    def opens(p):
+        opened.append(p)
+        return real_opens(p)
+    monkeypatch.setattr(RunContext, "once", spy)
+    monkeypatch.setattr(tp, "open_masks", opens)
+    assert run_suite(SuiteConfig(suites=MEMO_SUITES, max_size=4)).passed
+    assert len(opened) == 389
+    assert len(fns) == 4
+    assert _BLOCK * len(fns) >= max(sizes) > _BLOCK
+    assert [c._memo for c in contexts] == [None]
