@@ -7,12 +7,14 @@ directory, as `bench_pair.py` does. Then runs `run_suite` (every suite,
 seed 0) at --max-size --runs times on each side, each run in a fresh
 process and one process at a time. The side that runs first alternates
 from run to run, so drift in the host's speed falls on both sides alike.
-Prints each side's median seconds and `models_checked` per suite, and
-the median seconds of the whole `run_suite` call, with the checkout's
-median as a ratio of the base's, so a coverage change shows next to what
-it costs. As in `bench_pair.py`, each side keeps its bytecode under its
-own fresh `PYTHONPYCACHEPREFIX` and makes one untimed warm-up run first.
-Writes no file.
+Prints each side's median seconds and `models_checked` per suite, the
+median seconds of the whole `run_suite` call, and the median peak
+resident set of the run's process (`ru_maxrss`, in MiB), each with the
+checkout's median as a ratio of the base's. So a coverage change shows
+next to what it costs, and a memory change shows without perfbench. As
+in `bench_pair.py`, each side keeps its bytecode under its own fresh
+`PYTHONPYCACHEPREFIX` and makes one untimed warm-up run first. Writes no
+file.
 """
 
 from __future__ import annotations
@@ -29,20 +31,22 @@ from bench_pair import ROOT, export, side_env
 
 # Run inside a tree with its src/ first on the path; prints one JSON line.
 PROGRAM = """
-import json, sys, time
+import json, resource, sys, time
 from magmas import SuiteConfig, run_suite
 start = time.perf_counter()
 report = run_suite(SuiteConfig(max_size=int(sys.argv[1])))
 total = time.perf_counter() - start
+# ru_maxrss is in KiB on Linux
 print(json.dumps({"suites": {r.suite_id: r.seconds for r in report.results},
                   "models": {r.suite_id: r.models_checked for r in report.results},
-                  "total": total}))
+                  "total": total,
+                  "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 
 def times(root: Path, env: dict[str, str], max_size: int) -> dict:
-    """Suite seconds, suite models_checked and the whole call's seconds of one
-    run in the tree at root."""
+    """Suite seconds, suite models_checked, the whole call's seconds and the
+    process's peak RSS of one run in the tree at root."""
     out = subprocess.run([sys.executable, "-c", PROGRAM, str(max_size)], cwd=root,
                          env=env, capture_output=True, text=True, timeout=900, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -73,8 +77,9 @@ def main() -> int:
                 order.reverse()
             for side in order:
                 runs[side].append(times(*sides[side], args.max_size))
-            print(f"run {i + 1}: base {runs['base'][-1]['total']:.3f} s  "
-                  f"change {runs['change'][-1]['total']:.3f} s", flush=True)
+            print(f"run {i + 1}: " + "  ".join(
+                f"{side} {runs[side][-1]['total']:.3f} s {runs[side][-1]['maxrss_mib']:.1f} MiB"
+                for side in ("base", "change")), flush=True)
 
     def median(side: str, suite: str | None) -> float | None:
         vals = [r["total"] if suite is None else r["suites"].get(suite)
@@ -98,6 +103,9 @@ def main() -> int:
             cells.append(f"{v:9.3f}" if v is not None else f"{'-':>9s}")
             cells.append(f"{m:7d}" if m is not None else f"{'-':>7s}")
         print(f"{suite or 'run_suite total':40s} {' '.join(cells)} {ratio}")
+    b, c = (statistics.median(r["maxrss_mib"] for r in runs[side])
+            for side in ("base", "change"))
+    print(f"{'peak RSS MiB (ru_maxrss)':40s} {b:9.1f} {'':7s} {c:9.1f} {'':7s} {c / b:7.2f}")
     return 0
 
 

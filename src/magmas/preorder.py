@@ -185,12 +185,17 @@ class PreOrder:
         return p
 
     def __repr__(self) -> str:
-        edges = [
-            f"{self.labels[a]}<={self.labels[b]}"
-            for b in range(self.n)
-            for a in bits(self.pred[b] & ~(1 << b))
-        ]
+        edges = [f"{a}<={b}" for a, b in _edge_labels(self)]
         return f"PreOrder({' '.join(self.labels)}; {', '.join(edges)})"
+
+
+def _edge_labels(p: PreOrder) -> Iterator[tuple[str, str]]:
+    """Label pairs (a, b) of the edges a <= b off the diagonal, by b. A row
+    bit outside the carrier, as a fault-injected model may hold, is shown
+    as ``#`` and its bit number."""
+    for b in range(p.n):
+        for a in bits(p.pred[b] & ~(1 << b)):
+            yield (p.labels[a] if a < p.n else f"#{a}"), p.labels[b]
 
 
 def _close(rows: list[AtomSet]) -> tuple[AtomSet, ...]:
@@ -342,9 +347,7 @@ def parse_preorder(text: str) -> PreOrder:
 def format_preorder(p: PreOrder) -> str:
     """Render in the text input format (full closed edge list, no diagonal)."""
     lines = ["atoms: " + " ".join(p.labels)]
-    for b in range(p.n):
-        for a in bits(p.pred[b] & ~(1 << b)):
-            lines.append(f"{p.labels[a]} <= {p.labels[b]}")
+    lines += [f"{a} <= {b}" for a, b in _edge_labels(p)]
     return "\n".join(lines) + "\n"
 
 

@@ -10,15 +10,16 @@ instances only from those values, the suite id and the model name, so
 replay re-runs the suite's own check on the recorded rows under the
 recorded seed and depths and sees the same instances.
 
-``run_suite`` enumerates the models once and runs the finite suites
-block by block: each block of models is checked by every selected suite
-in registry order, each within its own size limit, and then the symbolic
-suites run. Facts that several suites ask of one model (its open masks,
-its closure table, its minimal opens, the star condition) are worked out
-once per block through ``RunContext.once`` and dropped with the block;
-replay and a check called directly compute them afresh. A suite's
-``seconds`` add up over the blocks, so a shared fact is charged to the
-first suite that asks for it, and enumeration falls in no suite.
+``run_suite`` streams the models and runs the finite suites block by
+block: each block of models is pulled from the enumeration, checked by
+every selected suite in registry order, each within its own size limit,
+and dropped before the next block is checked; then the symbolic suites
+run. Facts that several suites ask of one model (its open masks, its
+closure table, its minimal opens, the star condition, its hierarchy) are
+worked out once per block through ``RunContext.once`` and dropped with
+the block; replay and a check called directly compute them afresh. A
+suite's ``seconds`` add up over the blocks, so a shared fact is charged
+to the first suite that asks for it, and enumeration falls in no suite.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable
 
 from . import hierarchy as hm
@@ -174,22 +176,22 @@ class Report:
 
 
 class RunContext:
-    """Shared per-run caches: enumerated models and their hierarchies, and
-    the memo of :meth:`once` while :func:`run_suite` walks a block."""
+    """What a check reads besides its model: the run's config, its seeded
+    draws (:meth:`rng`) and the per-block memo of :meth:`once`."""
 
-    def __init__(self, cfg: SuiteConfig, model_hook: Callable | None = None):
+    def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
-        self.model_hook = model_hook
-        self._models: dict[int, list[tuple[str, PreOrder]]] = {}
-        self._hier: dict[PreOrder, hm.Hierarchy] = {}
         self._memo: dict | None = None  # a dict only inside run_suite's block loop
 
     def once(self, fn: Callable, p: PreOrder):
         """``fn(p)``, computed at most once per block of :func:`run_suite`.
 
-        Keyed by the function and the model's identity; the block's models
-        stay alive as long as its memo does. Outside the block loop (replay,
-        a check called directly) every call computes afresh. A call that
+        Keyed by the function and the model's identity. An id is unique only
+        among live objects, and the runner frees each block's streamed
+        models once the block is checked, so the memo must be reset before
+        any check of a new block: a kept entry could answer for a new model
+        that reuses a freed model's id. Outside the block loop (replay, a
+        check called directly) every call computes afresh. A call that
         raises stores nothing, so the next suite that asks raises too.
         """
         memo = self._memo
@@ -201,26 +203,6 @@ class RunContext:
             out = memo[key] = fn(p)
         return out
 
-    def finite_models(self, max_n: int) -> list[tuple[str, PreOrder]]:
-        out = []
-        for n in range(1, max_n + 1):
-            if n not in self._models:
-                models = []
-                for idx, p in enumerate(enumerate_preorders(n)):
-                    if self.model_hook is not None:
-                        p = self.model_hook(p)
-                    models.append((f"n={n}#{idx}", p))
-                self._models[n] = models
-            out.extend(self._models[n])
-        return out
-
-    def hierarchy(self, p: PreOrder) -> hm.Hierarchy:
-        h = self._hier.get(p)
-        if h is None:
-            h = hm.Hierarchy(p)
-            self._hier[p] = h
-        return h
-
     def rng(self, suite_id: str, model_name: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{suite_id}:{model_name}")
 
@@ -229,29 +211,13 @@ class RunContext:
 # Each check takes (p, model_name, ctx) and returns a list of witness dicts;
 # an empty list means the statement held on that model.
 #
-# Facts that several suites ask of one model go through these helpers,
-# which share them by ctx.once within a block of the runner. Each looks
-# up its library function at call time, so a patched one is what runs.
-
-
-def _opens(p: PreOrder, ctx: RunContext) -> list[int]:
-    return ctx.once(tp.open_masks, p)
+# Facts that several suites ask of one model are read through ctx.once,
+# which shares them within a block of the runner. Each call looks up its
+# library function at call time, so a patched one is what runs.
 
 
 def _pred_closure(p: PreOrder) -> list[int]:
     return tp.closure_table(p.pred, p.n)
-
-
-def _pred_table(p: PreOrder, ctx: RunContext) -> list[int]:
-    return ctx.once(_pred_closure, p)
-
-
-def _minimal(p: PreOrder, ctx: RunContext) -> list[tp.DownSet]:
-    return ctx.once(tp.minimal_opens, p)
-
-
-def _star(p: PreOrder, ctx: RunContext) -> tuple[bool, int | None]:
-    return ctx.once(PreOrder.satisfies_star, p)
 
 
 def _chk_closure_idempotent(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
@@ -301,7 +267,7 @@ def _chk_cone_transitive(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    ok, witness = _star(p, ctx)
+    ok, witness = ctx.once(PreOrder.satisfies_star, p)
     if ok:
         return [{"kind": "star-satisfied-finitely"}]
     has_strict_pred = any(p.strict(b, witness) for b in range(p.n))
@@ -311,10 +277,10 @@ def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict
 
 
 def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = _opens(p, ctx)
+    opens = ctx.once(tp.open_masks, p)
     # every union and meet below is a mask of the carrier, so openness is
     # read from one closure table over all masks
-    is_open = [not c & ~s for s, c in enumerate(_pred_table(p, ctx))]
+    is_open = [not c & ~s for s, c in enumerate(ctx.once(_pred_closure, p))]
     out = []
     # row-union openness is closed under ∪ and ∩: pairs, (z, z) too, decide any family
     for i, x in enumerate(opens):
@@ -334,7 +300,7 @@ def _chk_duality(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = _opens(p, ctx)
+    opens = ctx.once(tp.open_masks, p)
     family = sum(1 << x for x in opens)
     power = tp.subset_families(p.n)
     const_cones = tp.constant_rows([p.predecessors(a) for a in range(p.n)])
@@ -353,15 +319,15 @@ def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> l
 
 
 def _chk_star_iff_no_minimal(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    star, _ = _star(p, ctx)
-    no_minimal = not _minimal(p, ctx)
+    star, _ = ctx.once(PreOrder.satisfies_star, p)
+    no_minimal = not ctx.once(tp.minimal_opens, p)
     if star != no_minimal:
         return [{"star": star, "no_minimal": no_minimal}]
     return []
 
 
 def _chk_cones_contain_minimal(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    minimal = [d.members for d in _minimal(p, ctx)]
+    minimal = [d.members for d in ctx.once(tp.minimal_opens, p)]
     out = []
     for a in range(p.n):
         cone = p.predecessors(a)
@@ -375,7 +341,7 @@ def _chk_shift_laws(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # is t[z] & full, and t is monotone, so the largest x below some y
     # below z is t[y] & full for that y: transitivity fails at z exactly
     # when this x escapes t[z], and (x, y, z) is then a failing triple
-    t = _pred_table(p, ctx)
+    t = ctx.once(_pred_closure, p)
     full = p.full_mask
     out = [{"kind": "reflexive", "x": format_atom_set(p, x)}
            for x in range(1 << p.n) if x & ~t[x]]
@@ -411,8 +377,8 @@ def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # an open of the lifted family is minimal when its inclusion row is
     # constant, as in minimal-open-characterizations
-    has_minimal = bool(tp.constant_rows(tp.inclusion_rows(_opens(p, ctx))))
-    star, _ = _star(p, ctx)
+    has_minimal = bool(tp.constant_rows(tp.inclusion_rows(ctx.once(tp.open_masks, p))))
+    star, _ = ctx.once(PreOrder.satisfies_star, p)
     if has_minimal and star:
         return [{"kind": "minimal-despite-star"}]
     return []
@@ -420,7 +386,7 @@ def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[d
 
 def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     depth = ctx.cfg.depth
-    h = ctx.hierarchy(p)
+    h = ctx.once(hm.Hierarchy, p)
     levels = h.build(depth)
     out = []
     for i, li in enumerate(levels):
@@ -454,7 +420,7 @@ def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]
 
 def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     depth = ctx.cfg.depth
-    h = ctx.hierarchy(p)
+    h = ctx.once(hm.Hierarchy, p)
     levels = h.build(depth)
     out = []
     for lv in levels:
@@ -495,7 +461,7 @@ def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 def _chk_subsets_in_m_open(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     depth = ctx.cfg.depth
-    h = ctx.hierarchy(p)
+    h = ctx.once(hm.Hierarchy, p)
     levels = h.build(depth)
     rng = ctx.rng("subsets-in-m-are-open", name)
     out = []
@@ -566,7 +532,7 @@ def _chk_limit_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     depth = ctx.cfg.depth
     if depth < 2:
         return []
-    h = ctx.hierarchy(p)
+    h = ctx.once(hm.Hierarchy, p)
     rng = ctx.rng("limit-partition", name)
     out = []
     for v in _mixed_family(h, depth, rng, MIXED_FAMILY_SIZE):
@@ -600,7 +566,7 @@ def _union_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
 
 def _chk_union_criterion(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     depth = ctx.cfg.depth
-    h = ctx.hierarchy(p)
+    h = ctx.once(hm.Hierarchy, p)
     rng = ctx.rng("union-criterion", name)
     out = []
     for lv in h.build(depth):
@@ -621,7 +587,7 @@ def _chk_basic_no_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dic
         if hm.find_open_partition(p.pred, p.full_mask) is None:
             out.append({"kind": "negative-control-failed"})
     if p.n <= HIER_MAX_N:
-        h = ctx.hierarchy(p)
+        h = ctx.once(hm.Hierarchy, p)
         for lv in h.build(min(ctx.cfg.depth, 2)):
             for i in hm.level_basic_open_partition_free(lv):
                 out.append({"kind": "level-basic-open-splits",
@@ -682,7 +648,7 @@ def _trichotomy_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
 
 def _chk_trichotomy(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     depth = ctx.cfg.depth
-    h = ctx.hierarchy(p)
+    h = ctx.once(hm.Hierarchy, p)
     rng = ctx.rng("magma-set-atom-trichotomy", name)
     out = []
     for v in _trichotomy_corpus(p, h, depth, rng):
@@ -952,29 +918,29 @@ def _run_models(suite: Suite, models: list, ctx: RunContext, result: SuiteResult
     result.seconds += time.perf_counter() - start
 
 
-def _run_finite(suites: list[Suite], ctx: RunContext,
-                results: dict[str, SuiteResult]) -> None:
-    """Run the finite suites block by block over the enumerated models.
+def _run_finite(suites: list[Suite], ctx: RunContext, results: dict[str, SuiteResult],
+                model_hook: Callable | None) -> None:
+    """Run the finite suites block by block over the streamed models.
 
-    The models are enumerated once, before any suite runs. Each block of
-    ``_BLOCK`` models is checked by every suite in registry order, each
-    over the block's models within its own size limit, and the block's
-    shared facts (:meth:`RunContext.once`) are dropped when it ends. So a
-    suite's counts and failures come out in model order, as when it runs
-    alone, and its seconds add up over the blocks.
+    One generator yields every model up to the largest limit, by size, with
+    ``model_hook`` applied. Each block of ``_BLOCK`` models is pulled from
+    it, checked by every suite in registry order, each over the block's
+    models whose enumerated size is within its own limit, and then freed
+    with its shared facts (:meth:`RunContext.once`). So a suite's counts
+    and failures come out in model order, as when it runs alone, and its
+    seconds add up over the blocks.
     """
     max_size = ctx.cfg.max_size
     limits = [min(max_size, s.max_n) if s.max_n else max_size for s in suites]
-    models = ctx.finite_models(max(limits))
-    # the models are ordered by size, so a limit's scope is a prefix
-    ends = [len(ctx.finite_models(limit)) for limit in limits]
+    models = ((n, f"n={n}#{idx}", p if model_hook is None else model_hook(p))
+              for n in range(1, max(limits) + 1)
+              for idx, p in enumerate(enumerate_preorders(n)))
     try:
-        for start in range(0, len(models), _BLOCK):
+        while block := list(islice(models, _BLOCK)):
             ctx._memo = {}
-            for suite, end in zip(suites, ends):
-                block = models[start:min(start + _BLOCK, end)]
-                if block:
-                    _run_models(suite, block, ctx, results[suite.suite_id])
+            for suite, limit in zip(suites, limits):
+                _run_models(suite, [(name, p) for n, name, p in block if n <= limit],
+                            ctx, results[suite.suite_id])
     finally:
         ctx._memo = None
 
@@ -986,13 +952,13 @@ def run_suite(cfg: SuiteConfig, _model_hook: Callable | None = None) -> Report:
     the symbolic ones, each over its models.
     """
     cfg.validate()
-    ctx = RunContext(cfg, _model_hook)
+    ctx = RunContext(cfg)
     chosen = set(cfg.selected())
     selected = [s for sid, s in SUITES.items() if sid in chosen]
     results = {s.suite_id: SuiteResult(s.suite_id, s.statement, 0) for s in selected}
     finite = [s for s in selected if s.scope == "finite"]
     if finite:
-        _run_finite(finite, ctx, results)
+        _run_finite(finite, ctx, results, _model_hook)
     for suite in selected:
         if suite.scope != "finite":
             models = [(name, sym.model_by_name(name)) for name in suite.models]

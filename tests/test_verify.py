@@ -117,6 +117,22 @@ def test_injected_fault_fails_with_counterexample():
     assert cx.rows  # raw relation for exact replay
 
 
+def test_rows_outside_the_carrier_fail_instead_of_raising():
+    # bit n in every row: the run reports the checks' own witnesses, the
+    # stray bit renders as its number, and replay sees the same failure
+    def outside(p):
+        return PreOrder(p.labels, tuple(r | 1 << p.n for r in p.pred))
+    suites = ("closure-idempotence", "cone-transitivity", "open-complement-duality")
+    report = run_suite(SuiteConfig(suites=suites, max_size=3), _model_hook=outside)
+    assert [r.status for r in report.results if r.suite_id in suites] == ["fail"] * 3
+    duality = [cx for cx in report.failures if cx.suite == "open-complement-duality"]
+    assert duality and all("set" in cx.witness for cx in duality)
+    cx = duality[0]
+    assert cx.model_text == "atoms: a\n#1 <= a\n"
+    assert repr(PreOrder(cx.labels, cx.rows)) == "PreOrder(a; #1<=a)"
+    assert replay(cx.to_blob()) is False
+
+
 def test_replay_reproduces_verdicts():
     cfg = SuiteConfig(suites=("minimal-open-characterizations",), max_size=3)
     report = run_suite(cfg, _model_hook=break_closure)
@@ -560,14 +576,15 @@ MEMO_SUITES = ("finite-star-fails", "open-family-closure", "minimal-open-charact
 
 def recording_hook(fault_seed=None):
     """A _model_hook that keeps every model it hands out, in order. With a
-    seed it swaps about one model in six for seeded raw rows inside the
-    carrier: unclosed and mostly non-reflexive."""
+    seed it swaps about one model in six for seeded raw rows over n + 1
+    bits: unclosed, mostly non-reflexive, often with bit n outside the
+    carrier."""
     rng = random.Random(fault_seed)
     seen = []
 
     def hook(p):
         if fault_seed is not None and rng.random() < 1 / 6:
-            p = PreOrder(p.labels, tuple(rng.getrandbits(p.n) for _ in range(p.n)))
+            p = PreOrder(p.labels, tuple(rng.getrandbits(p.n + 1) for _ in range(p.n)))
         seen.append(p)
         return p
     return hook, seen
@@ -658,3 +675,24 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
     assert len(fns) == 4
     assert _BLOCK * len(fns) >= max(sizes) > _BLOCK
     assert [c._memo for c in contexts] == [None]
+
+
+def test_models_are_streamed_block_by_block(monkeypatch):
+    # when the k-th model is checked, no model past its block has been
+    # enumerated yet
+    pulled = []
+
+    def hook(p):
+        pulled.append(p)
+        return p
+    real_opens = tp.open_masks
+    counts = []
+
+    def opens(p):
+        counts.append(len(pulled))
+        return real_opens(p)
+    monkeypatch.setattr(tp, "open_masks", opens)
+    cfg = SuiteConfig(suites=("open-family-closure",), max_size=4)
+    assert run_suite(cfg, _model_hook=hook).passed
+    assert len(counts) == len(pulled) == 389
+    assert all(c <= (k // _BLOCK + 1) * _BLOCK for k, c in enumerate(counts))
