@@ -161,6 +161,22 @@ MUTANTS = (
      "cone = cones[c & full]",
      "cone = cones[c]",
      "tests/test_shifting.py"),
+    # the connection sweep building its own closure table beside the shared one
+    ("src/magmas/shifting.py",
+     "closure = closure_table(p.pred, n) if table is None else table",
+     "closure = closure_table(p.pred, n)",
+     "tests/test_verify.py"),
+    # bounded cones: the layer loop one length short; a tip joining the
+    # extensions of a shorter tip that covers it, so members repeat
+    ("src/magmas/symbolic.py",
+     "for length in range(1, depth + 1):",
+     "for length in range(1, depth):",
+     "tests/test_symbolic.py"),
+    ("src/magmas/symbolic.py",
+     "new = {t for t in tips if len(t) == length\n"
+     "               and not any(t.startswith(u) for u in tips if len(u) < length)}",
+     "new = {t for t in tips if len(t) == length}",
+     "tests/test_symbolic.py"),
 )
 
 

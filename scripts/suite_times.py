@@ -1,12 +1,14 @@
 """Per-suite `run_suite` times of a base commit against this checkout.
 
-    python3 scripts/suite_times.py --base HEAD --max-size 5 --runs 9
+    python3 scripts/suite_times.py --base HEAD --max-size 5 --runs 9 --seed 0
 
 Exports the committed files of --base with `git archive` into a temporary
-directory, as `bench_pair.py` does. Then runs `run_suite` (every suite,
-seed 0) at --max-size --runs times on each side, each run in a fresh
-process and one process at a time. The side that runs first alternates
-from run to run, so drift in the host's speed falls on both sides alike.
+directory, as `bench_pair.py` does. Then runs `run_suite` (every suite)
+at --max-size and --seed --runs times on each side, each run in a fresh
+process and one process at a time; the seeded suites, the symbolic ones
+among them, draw their instances from --seed. The side that runs first
+alternates from run to run, so drift in the host's speed falls on both
+sides alike.
 Prints each side's median seconds and `models_checked` per suite, the
 median seconds of the whole `run_suite` call, and the median peak
 resident set of the run's process (`ru_maxrss`, in MiB), each with the
@@ -34,7 +36,7 @@ PROGRAM = """
 import json, resource, sys, time
 from magmas import SuiteConfig, run_suite
 start = time.perf_counter()
-report = run_suite(SuiteConfig(max_size=int(sys.argv[1])))
+report = run_suite(SuiteConfig(max_size=int(sys.argv[1]), seed=int(sys.argv[2])))
 total = time.perf_counter() - start
 # ru_maxrss is in KiB on Linux
 print(json.dumps({"suites": {r.suite_id: r.seconds for r in report.results},
@@ -44,10 +46,10 @@ print(json.dumps({"suites": {r.suite_id: r.seconds for r in report.results},
 """
 
 
-def times(root: Path, env: dict[str, str], max_size: int) -> dict:
+def times(root: Path, env: dict[str, str], max_size: int, seed: int) -> dict:
     """Suite seconds, suite models_checked, the whole call's seconds and the
     process's peak RSS of one run in the tree at root."""
-    out = subprocess.run([sys.executable, "-c", PROGRAM, str(max_size)], cwd=root,
+    out = subprocess.run([sys.executable, "-c", PROGRAM, str(max_size), str(seed)], cwd=root,
                          env=env, capture_output=True, text=True, timeout=900, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -57,6 +59,7 @@ def main() -> int:
     ap.add_argument("--base", required=True, help="commit to compare against")
     ap.add_argument("--max-size", type=int, default=5)
     ap.add_argument("--runs", type=int, default=5, help="runs per side")
+    ap.add_argument("--seed", type=int, default=0, help="the runs' SuiteConfig seed")
     args = ap.parse_args()
     if args.runs < 1:
         ap.error("--runs must be at least 1")
@@ -70,13 +73,13 @@ def main() -> int:
                                        PYTHONPATH=str(root / "src")))
                  for side, root in (("base", base_root), ("change", ROOT))}
         for root, env in sides.values():  # warm-up: fills the side's pycache
-            times(root, env, 1)
+            times(root, env, 1, args.seed)
         for i in range(args.runs):
             order = ["base", "change"]
             if i % 2:
                 order.reverse()
             for side in order:
-                runs[side].append(times(*sides[side], args.max_size))
+                runs[side].append(times(*sides[side], args.max_size, args.seed))
             print(f"run {i + 1}: " + "  ".join(
                 f"{side} {runs[side][-1]['total']:.3f} s {runs[side][-1]['maxrss_mib']:.1f} MiB"
                 for side in ("base", "change")), flush=True)
@@ -90,7 +93,7 @@ def main() -> int:
     suites = list(runs["change"][0]["suites"])
     suites += [s for s in runs["base"][0]["suites"] if s not in suites]
     print(f"\nmedians of {args.runs} runs per side, max_size {args.max_size}, "
-          f"base {sha[:12]}")
+          f"seed {args.seed}, base {sha[:12]}")
     print(f"{'suite':40s} {'base s':>9s} {'models':>7s} {'change s':>9s} {'models':>7s} "
           f"{'ratio':>7s}")
     for suite in suites + [None]:

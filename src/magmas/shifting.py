@@ -90,16 +90,18 @@ def _shifted_cones(n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _connection_sweep(p: PreOrder) -> tuple[list[tuple[AtomSet, ConnectionCheck]], bool]:
+def _connection_sweep(p: PreOrder, *, table: list[AtomSet] | None = None
+                      ) -> tuple[list[tuple[AtomSet, ConnectionCheck]], bool]:
     """The failing subsets of :func:`check_connection` and the verdict of
     :func:`shifted_opens_match`, from one sweep over all 2^n subsets.
 
     The subsets are visited in increasing order, so every subset of x,
-    and x's closure when x is open, comes before x.
+    and x's closure when x is open, comes before x. The closures are
+    ``table``, when the caller already holds ``closure_table(p.pred, n)``.
     """
     check_carrier_cap(p)
     n, full = p.n, p.full_mask
-    closure = closure_table(p.pred, n)
+    closure = closure_table(p.pred, n) if table is None else table
     power = subset_families(n)
     cones = _shifted_cones(n)
     failing = []
@@ -143,10 +145,11 @@ def check_connection(p: PreOrder) -> list[tuple[AtomSet, ConnectionCheck]]:
     return _connection_sweep(p)[0]
 
 
-def shifted_is_total(p: PreOrder) -> bool:
-    """Totality of the shifted relation over all subset pairs."""
+def shifted_is_total(p: PreOrder, *, table: list[AtomSet] | None = None) -> bool:
+    """Totality of the shifted relation over all subset pairs, read from
+    the closure table of ``pred`` (``table``, when the caller holds it)."""
     check_carrier_cap(p)
-    closures = closure_table(p.pred, p.n)
+    closures = closure_table(p.pred, p.n) if table is None else table
     for x in range(1 << p.n):
         for y in range(x):
             if x & ~closures[y] and y & ~closures[x]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +26,11 @@ class SymbolicPreOrder:
     encoding depth for sampling and bounded semantics. ``cone_meet``
     is present when the intersection of two principal cones is again a
     principal cone or empty; models without it do not support
-    generator-level intersection.
+    generator-level intersection. ``cones_up_to(tips, depth)`` is present
+    when the bounded part of a union of principal cones can be listed
+    directly: it returns the atoms up to ``depth`` below some tip, in
+    ``atoms_up_to`` order, each once. Models without it have their
+    bounded member sets filtered from ``atoms_up_to``.
     """
 
     name: str
@@ -37,6 +41,7 @@ class SymbolicPreOrder:
     render_atom: Callable[[object], str]
     parse_atom: Callable[[str], object]
     cone_meet: Callable[[object, object], object | None] | None = None
+    cones_up_to: Callable[[Sequence, int], list] | None = None
 
     def strict(self, a: object, b: object) -> bool:
         return self.leq(a, b) and not self.leq(b, a)
@@ -59,11 +64,35 @@ def _random_bitstring(rng: random.Random, lo: int, hi: int) -> str:
     return "".join(rng.choice("01") for _ in range(length))
 
 
+def _extensions_up_to(tips: Sequence[str], depth: int) -> list[str]:
+    """The strings of length 1..depth that extend some tip, shortest
+    first and in lexicographic order within a length, as
+    :func:`_bitstrings` lists them.
+
+    Built one length at a time: the extensions of the tips seen so far
+    grow by one bit, and a tip of the new length joins them unless a
+    shorter tip already covers it. Appending a bit keeps a sorted layer
+    sorted, so the layer is sorted again only when a tip joins it.
+    """
+    out: list[str] = []
+    layer: list[str] = []
+    for length in range(1, depth + 1):
+        layer = [s + c for s in layer for c in "01"]
+        new = {t for t in tips if len(t) == length
+               and not any(t.startswith(u) for u in tips if len(u) < length)}
+        if new:
+            layer += new
+            layer.sort()
+        out += layer
+    return out
+
+
 def binary_string_model() -> SymbolicPreOrder:
     """Atoms are nonempty binary strings; s <= t iff t is a prefix of s.
 
-    Every cone is the infinite set of extensions of its tip, and
-    appending "0" always gives a strict predecessor.
+    Every cone is the infinite set of extensions of its tip, so its
+    bounded part is listed directly, and appending "0" always gives a
+    strict predecessor.
     """
     return SymbolicPreOrder(
         name="prefix",
@@ -74,6 +103,7 @@ def binary_string_model() -> SymbolicPreOrder:
         render_atom=lambda s: s,
         parse_atom=_check_bitstring,
         cone_meet=lambda s, t: s if s.startswith(t) else (t if t.startswith(s) else None),
+        cones_up_to=_extensions_up_to,
     )
 
 
@@ -110,6 +140,9 @@ def clustered_model(k: int) -> SymbolicPreOrder:
         parse_atom=parse,
         cone_meet=lambda a, b: (a[0], 0) if a[0].startswith(b[0])
         else ((b[0], 0) if b[0].startswith(a[0]) else None),
+        cones_up_to=lambda tips, depth: [
+            (s, i) for s in _extensions_up_to([a[0] for a in tips], depth)
+            for i in range(k)],
     )
 
 
@@ -260,9 +293,17 @@ def normalize(g: GenOpen) -> GenOpen:
 
 
 def members_up_to(g: GenOpen, depth: int) -> list[object]:
-    """The atoms of bounded depth in a level-1 generated open."""
+    """The atoms of bounded depth in a level-1 generated open, in
+    ``atoms_up_to`` order.
+
+    Listed by the model's ``cones_up_to`` when it has one; otherwise
+    every atom up to ``depth`` is tested with :func:`gen_member`.
+    """
     if g.level != 1:
         raise ValueError("bounded enumeration is a level-1 operation")
+    cones = g.model.cones_up_to
+    if cones is not None:
+        return cones(g.generators, depth)
     return [z for z in g.model.atoms_up_to(depth) if gen_member(g, z)]
 
 

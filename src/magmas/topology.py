@@ -130,15 +130,16 @@ def _ordered_masks(n: int) -> tuple[AtomSet, ...]:
     return tuple(sorted(range(1, 1 << n), key=mask_order))
 
 
-def duality_failures(p: PreOrder) -> list[AtomSet]:
+def duality_failures(p: PreOrder, *, table: list[AtomSet] | None = None) -> list[AtomSet]:
     """The masks s of the carrier where "s is lower open" and "the
     complement of s is upper open" disagree, in increasing order.
 
-    Lower openness reads the table of ``pred``, upper openness the table
-    of the transpose ``succ``.
+    Lower openness reads the table of ``pred`` (``table``, when the
+    caller already holds it), upper openness the table of the transpose
+    ``succ``.
     """
     n, full = p.n, p.full_mask
-    down = closure_table(p.pred, n)
+    down = closure_table(p.pred, n) if table is None else table
     up = closure_table(p.succ, n)
     return [s for s in range(1 << n)
             if (not down[s] & ~s) != (not up[full ^ s] & ~(full ^ s))]
@@ -201,15 +202,16 @@ def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:
     return tuple(rows)
 
 
-def open_masks(p: PreOrder) -> list[AtomSet]:
+def open_masks(p: PreOrder, *, table: list[AtomSet] | None = None) -> list[AtomSet]:
     """Masks of the nonempty lower-open subsets, sorted by size then bit pattern.
 
-    Read from the :func:`closure_table` of ``pred``: x is open exactly
-    when ``t[x]`` stays inside x, bits outside the carrier included. The
-    masks are visited in the order :func:`_ordered_masks` keeps per n.
+    Read from the :func:`closure_table` of ``pred`` (``table``, when the
+    caller already holds it): x is open exactly when ``t[x]`` stays
+    inside x, bits outside the carrier included. The masks are visited
+    in the order :func:`_ordered_masks` keeps per n.
     """
     check_carrier_cap(p)
-    t = closure_table(p.pred, p.n)
+    t = closure_table(p.pred, p.n) if table is None else table
     return [x for x in _ordered_masks(p.n) if not t[x] & ~x]
 
 

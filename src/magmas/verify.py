@@ -183,24 +183,27 @@ class RunContext:
         self.cfg = cfg
         self._memo: dict | None = None  # a dict only inside run_suite's block loop
 
-    def once(self, fn: Callable, p: PreOrder):
-        """``fn(p)``, computed at most once per block of :func:`run_suite`.
+    def once(self, fn: Callable, p: PreOrder, **tables):
+        """``fn(p, **tables)``, computed at most once per block of
+        :func:`run_suite`.
 
-        Keyed by the function and the model's identity. An id is unique only
-        among live objects, and the runner frees each block's streamed
-        models once the block is checked, so the memo must be reset before
-        any check of a new block: a kept entry could answer for a new model
-        that reuses a freed model's id. Outside the block loop (replay, a
-        check called directly) every call computes afresh. A call that
-        raises stores nothing, so the next suite that asks raises too.
+        Keyed by the function and the model's identity, so ``tables`` must
+        be facts of p itself, such as its shared closure table. An id is
+        unique only among live objects, and the runner frees each block's
+        streamed models once the block is checked, so the memo must be
+        reset before any check of a new block: a kept entry could answer
+        for a new model that reuses a freed model's id. Outside the block
+        loop (replay, a check called directly) every call computes afresh.
+        A call that raises stores nothing, so the next suite that asks
+        raises too.
         """
         memo = self._memo
         if memo is None:
-            return fn(p)
+            return fn(p, **tables)
         key = (fn, id(p))
         out = memo.get(key, _MISSING)
         if out is _MISSING:
-            out = memo[key] = fn(p)
+            out = memo[key] = fn(p, **tables)
         return out
 
     def rng(self, suite_id: str, model_name: str) -> random.Random:
@@ -213,7 +216,9 @@ class RunContext:
 #
 # Facts that several suites ask of one model are read through ctx.once,
 # which shares them within a block of the runner. Each call looks up its
-# library function at call time, so a patched one is what runs.
+# library function at call time, so a patched one is what runs. Every
+# reading of the pred closure table takes the shared one, so a model's
+# table is built once per block.
 
 
 def _pred_closure(p: PreOrder) -> list[int]:
@@ -277,10 +282,11 @@ def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict
 
 
 def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = ctx.once(tp.open_masks, p)
+    t = ctx.once(_pred_closure, p)
+    opens = ctx.once(tp.open_masks, p, table=t)
     # every union and meet below is a mask of the carrier, so openness is
     # read from one closure table over all masks
-    is_open = [not c & ~s for s, c in enumerate(ctx.once(_pred_closure, p))]
+    is_open = [not c & ~s for s, c in enumerate(t)]
     out = []
     # row-union openness is closed under ∪ and ∩: pairs, (z, z) too, decide any family
     for i, x in enumerate(opens):
@@ -296,11 +302,12 @@ def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_duality(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    return [{"set": format_atom_set(p, s)} for s in tp.duality_failures(p)]
+    return [{"set": format_atom_set(p, s)}
+            for s in tp.duality_failures(p, table=ctx.once(_pred_closure, p))]
 
 
 def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = ctx.once(tp.open_masks, p)
+    opens = ctx.once(tp.open_masks, p, table=ctx.once(_pred_closure, p))
     family = sum(1 << x for x in opens)
     power = tp.subset_families(p.n)
     const_cones = tp.constant_rows([p.predecessors(a) for a in range(p.n)])
@@ -357,14 +364,14 @@ def _chk_shift_laws(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_shift_total(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    if p.is_total() and not sh.shifted_is_total(p):
+    if p.is_total() and not sh.shifted_is_total(p, table=ctx.once(_pred_closure, p)):
         return [{"kind": "shifted-not-total"}]
     return []
 
 
 def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # one sweep decides check_connection and shifted_opens_match together
-    failing, opens_match = sh._connection_sweep(p)
+    failing, opens_match = sh._connection_sweep(p, table=ctx.once(_pred_closure, p))
     out = [{"x": format_atom_set(p, x),
             "subset_dir": c.subset_dir,
             "equality_when_open": c.equality_when_open}
@@ -377,7 +384,8 @@ def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # an open of the lifted family is minimal when its inclusion row is
     # constant, as in minimal-open-characterizations
-    has_minimal = bool(tp.constant_rows(tp.inclusion_rows(ctx.once(tp.open_masks, p))))
+    opens = ctx.once(tp.open_masks, p, table=ctx.once(_pred_closure, p))
+    has_minimal = bool(tp.constant_rows(tp.inclusion_rows(opens)))
     star, _ = ctx.once(PreOrder.satisfies_star, p)
     if has_minimal and star:
         return [{"kind": "minimal-despite-star"}]

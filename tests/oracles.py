@@ -3,7 +3,8 @@
 Nothing here calls library code, so agreement is meaningful. Most of it
 works on label pairs and frozensets, never on the library's bitmask
 representations; ``open_family_witnesses`` takes plain int masks, as
-the check it pins does.
+the check it pins does. ``bounded_members`` reads a symbolic model only
+through its own ``atoms_up_to`` and ``leq``.
 """
 
 from __future__ import annotations
@@ -327,3 +328,9 @@ def count_preorders_by_partition(n: int) -> int:
     """Labeled pre-orders on n points: sum over block counts of
     (ways to partition) x (labeled posets on the blocks)."""
     return sum(stirling2(n, k) * count_posets(k) for k in range(1, n + 1))
+
+
+def bounded_members(model, tips, depth):
+    """The atoms up to depth below some tip, in the model's atom order:
+    every atom of ``model.atoms_up_to(depth)`` tested against each tip."""
+    return [z for z in model.atoms_up_to(depth) if any(model.leq(z, t) for t in tips)]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from magmas import (GenOpen, binary_string_model, clustered_model, gen_equal,
                     gen_intersect, gen_member, gen_subset, gen_union,
                     members_up_to, model_by_name, normalize, strict_shrink,
                     validate_model)
+from oracles import bounded_members
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +228,55 @@ def test_members_up_to_monotone(prefix):
     g = pr(prefix, "0", "110")
     counts = [len(members_up_to(g, d)) for d in (4, 5, 6, 7)]
     assert counts == sorted(counts) and counts[0] < counts[-1]
+
+
+def member_cases(model, seed, count):
+    """Seeded (tips, depth) pairs: one to four tips of length 1-9, with
+    nested and duplicate tips mixed in, at depths 1-9, so some tips lie
+    past the depth."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        tips = [model.random_atom(rng, 1, 9) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:  # a tip inside another tip's cone
+            tips.append(model.strict_pred(rng.choice(tips)))
+        if rng.random() < 0.2:
+            tips.append(rng.choice(tips))
+        rng.shuffle(tips)
+        cases.append((tuple(tips), rng.randint(1, 9)))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["prefix", "clustered:2", "clustered:3"])
+def test_members_up_to_matches_the_filter_oracle(name):
+    model = model_by_name(name)
+    assert model.cones_up_to is not None
+    empty = 0
+    for tips, depth in member_cases(model, f"members:{name}", 400):
+        got = members_up_to(GenOpen(model, 1, tips), depth)
+        assert got == bounded_members(model, tips, depth), (tips, depth)
+        empty += not got
+    assert empty  # some cases have every tip past the depth
+
+
+def test_members_up_to_edge_cases(prefix, clustered):
+    assert members_up_to(pr(prefix, "0101"), 3) == []
+    assert members_up_to(pr(prefix, "01", "0"), 2) == ["0", "00", "01"]
+    assert members_up_to(pr(prefix, "1", "1", "10"), 2) == ["1", "10", "11"]
+    assert members_up_to(pr(prefix, "11", "0"), 2) == ["0", "00", "01", "11"]
+    assert members_up_to(pr(clustered, ("0", 1), ("01", 0)), 2) == [
+        ("0", 0), ("0", 1), ("00", 0), ("00", 1), ("01", 0), ("01", 1)]
+    with pytest.raises(ValueError, match="level-1"):
+        members_up_to(GenOpen(prefix, 2, (pr(prefix, "0"),)), 3)
+
+
+@pytest.mark.parametrize("name", ["prefix", "clustered:3"])
+def test_members_up_to_filters_without_cones_up_to(name):
+    bare = dataclasses.replace(model_by_name(name))
+    object.__setattr__(bare, "cones_up_to", None)
+    for tips, depth in member_cases(bare, f"fallback:{name}", 60):
+        got = members_up_to(GenOpen(bare, 1, tips), depth)
+        assert got == bounded_members(bare, tips, depth), (tips, depth)
 
 
 def test_bounded_semantic_subset_agreement(prefix):

@@ -359,7 +359,7 @@ def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
             opens = sorted((s for s in range(1, 1 << n) if table[s] and rng.random() >= 0.2),
                            key=lambda s: (s.bit_count(), s))
             monkeypatch.setattr(tp, "closure_table", faulty_closure_table(table))
-            monkeypatch.setattr(tp, "open_masks", lambda q, o=opens: o)
+            monkeypatch.setattr(tp, "open_masks", lambda q, o=opens, **kw: o)
             want = []
             for kind, masks in open_family_witnesses(opens, table):
                 if kind != "triple":
@@ -391,7 +391,7 @@ def test_open_family_pairs_decide_larger_families(monkeypatch, models_by_size):
         witnesses = open_family_witnesses(opens, is_open)
         pairs = [(kind, masks) for kind, masks in witnesses if kind != "triple"]
         assert any(kind == "triple" for kind, _ in witnesses) == bool(pairs), p
-        monkeypatch.setattr(tp, "open_masks", lambda q, o=opens: o)
+        monkeypatch.setattr(tp, "open_masks", lambda q, o=opens, **kw: o)
         got = _chk_open_family(p, "m", ctx)
         assert got == [{"kind": kind, "x": format_atom_set(p, x), "y": format_atom_set(p, y)}
                        for kind, (x, y) in pairs], p
@@ -425,10 +425,10 @@ def test_check_exception_is_a_counterexample(monkeypatch):
     # a bug that raises on one model fails the suite there and the run goes on
     real = tp.duality_failures
 
-    def faulty(p):
+    def faulty(p, **kw):
         if p.pred == (0b01, 0b11):
             raise ValueError("injected fault")
-        return real(p)
+        return real(p, **kw)
 
     monkeypatch.setattr(tp, "duality_failures", faulty)
     cfg = SuiteConfig(suites=("open-complement-duality", "class-vs-cone"), max_size=2)
@@ -502,7 +502,7 @@ def test_minimal_characterizations_match_literal_forms(monkeypatch, models_by_si
             if not brute == cone == klass == lib:
                 want.append({"open": format_atom_set(p, x), "brute": brute,
                              "cone": cone, "class": klass, "library": lib})
-        monkeypatch.setattr(tp, "open_masks", lambda q, f=family: f)
+        monkeypatch.setattr(tp, "open_masks", lambda q, f=family, **kw: f)
         got = _chk_minimal_characterizations(p, "m", RunContext(SuiteConfig()))
         assert got == want, p
         if inject:
@@ -632,7 +632,8 @@ def test_patched_open_masks_reaches_the_next_run(monkeypatch):
     assert run_suite(cfg).passed
     real = tp.open_masks
     monkeypatch.setattr(tp, "open_masks",
-                        lambda p: real(p) + [0b10] if p.pred == (0b01, 0b11) else real(p))
+                        lambda p, **kw: real(p, **kw) + [0b10] if p.pred == (0b01, 0b11)
+                        else real(p, **kw))
     assert {cx.rows for cx in run_suite(cfg).failures} == {(0b01, 0b11)}
     monkeypatch.undo()
     assert run_suite(cfg).passed
@@ -655,8 +656,8 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
     real_once = RunContext.once
     sizes, fns, contexts = [], set(), set()
 
-    def spy(self, fn, p):
-        out = real_once(self, fn, p)
+    def spy(self, fn, p, **tables):
+        out = real_once(self, fn, p, **tables)
         if self._memo is not None:
             sizes.append(len(self._memo))
         fns.add(fn)
@@ -665,9 +666,9 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
     real_opens = tp.open_masks
     opened = []
 
-    def opens(p):
+    def opens(p, **kw):
         opened.append(p)
-        return real_opens(p)
+        return real_opens(p, **kw)
     monkeypatch.setattr(RunContext, "once", spy)
     monkeypatch.setattr(tp, "open_masks", opens)
     assert run_suite(SuiteConfig(suites=MEMO_SUITES, max_size=4)).passed
@@ -675,6 +676,26 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
     assert len(fns) == 4
     assert _BLOCK * len(fns) >= max(sizes) > _BLOCK
     assert [c._memo for c in contexts] == [None]
+
+
+def test_each_model_builds_at_most_two_closure_tables(monkeypatch):
+    # every suite reads the one shared pred table of a model, complement
+    # duality adds the succ table, and each hierarchy base builds one more
+    # for its level 1
+    real = tp.closure_table
+    calls = []
+
+    def counting(rows, n):
+        calls.append(n)
+        return real(rows, n)
+    monkeypatch.setattr(tp, "closure_table", counting)
+    monkeypatch.setattr(sh, "closure_table", counting)
+    report = run_suite(SuiteConfig(suites=tuple(s.suite_id for s in FINITE_SUITES),
+                                   max_size=4))
+    checked = {r.suite_id: r.models_checked for r in report.results}
+    assert checked["open-complement-duality"] == 389
+    assert checked["hierarchy-levels"] == 34
+    assert len(calls) <= 2 * 389 + 34
 
 
 def test_models_are_streamed_block_by_block(monkeypatch):
@@ -688,9 +709,9 @@ def test_models_are_streamed_block_by_block(monkeypatch):
     real_opens = tp.open_masks
     counts = []
 
-    def opens(p):
+    def opens(p, **kw):
         counts.append(len(pulled))
-        return real_opens(p)
+        return real_opens(p, **kw)
     monkeypatch.setattr(tp, "open_masks", opens)
     cfg = SuiteConfig(suites=("open-family-closure",), max_size=4)
     assert run_suite(cfg, _model_hook=hook).passed
