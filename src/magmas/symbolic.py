@@ -26,11 +26,9 @@ class SymbolicPreOrder:
     encoding depth for sampling and bounded semantics. ``cone_meet``
     is present when the intersection of two principal cones is again a
     principal cone or empty; models without it do not support
-    generator-level intersection. ``cones_up_to(tips, depth)`` is present
-    when the bounded part of a union of principal cones can be listed
-    directly: it returns the atoms up to ``depth`` below some tip, in
-    ``atoms_up_to`` order, each once. Models without it have their
-    bounded member sets filtered from ``atoms_up_to``.
+    generator-level intersection. ``cones_up_to(tips, depth)`` lists the
+    bounded part of a union of principal cones: the atoms up to ``depth``
+    below some tip, in ``atoms_up_to`` order, each once.
     """
 
     name: str
@@ -40,8 +38,8 @@ class SymbolicPreOrder:
     random_atom: Callable[[random.Random, int, int], object]
     render_atom: Callable[[object], str]
     parse_atom: Callable[[str], object]
+    cones_up_to: Callable[[Sequence, int], list]
     cone_meet: Callable[[object, object], object | None] | None = None
-    cones_up_to: Callable[[Sequence, int], list] | None = None
 
     def strict(self, a: object, b: object) -> bool:
         return self.leq(a, b) and not self.leq(b, a)
@@ -294,17 +292,11 @@ def normalize(g: GenOpen) -> GenOpen:
 
 def members_up_to(g: GenOpen, depth: int) -> list[object]:
     """The atoms of bounded depth in a level-1 generated open, in
-    ``atoms_up_to`` order.
-
-    Listed by the model's ``cones_up_to`` when it has one; otherwise
-    every atom up to ``depth`` is tested with :func:`gen_member`.
+    ``atoms_up_to`` order, as the model's ``cones_up_to`` lists them.
     """
     if g.level != 1:
         raise ValueError("bounded enumeration is a level-1 operation")
-    cones = g.model.cones_up_to
-    if cones is not None:
-        return cones(g.generators, depth)
-    return [z for z in g.model.atoms_up_to(depth) if gen_member(g, z)]
+    return g.model.cones_up_to(g.generators, depth)
 
 
 @dataclass

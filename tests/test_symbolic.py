@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -250,7 +249,6 @@ def member_cases(model, seed, count):
 @pytest.mark.parametrize("name", ["prefix", "clustered:2", "clustered:3"])
 def test_members_up_to_matches_the_filter_oracle(name):
     model = model_by_name(name)
-    assert model.cones_up_to is not None
     empty = 0
     for tips, depth in member_cases(model, f"members:{name}", 400):
         got = members_up_to(GenOpen(model, 1, tips), depth)
@@ -268,15 +266,6 @@ def test_members_up_to_edge_cases(prefix, clustered):
         ("0", 0), ("0", 1), ("00", 0), ("00", 1), ("01", 0), ("01", 1)]
     with pytest.raises(ValueError, match="level-1"):
         members_up_to(GenOpen(prefix, 2, (pr(prefix, "0"),)), 3)
-
-
-@pytest.mark.parametrize("name", ["prefix", "clustered:3"])
-def test_members_up_to_filters_without_cones_up_to(name):
-    bare = dataclasses.replace(model_by_name(name))
-    object.__setattr__(bare, "cones_up_to", None)
-    for tips, depth in member_cases(bare, f"fallback:{name}", 60):
-        got = members_up_to(GenOpen(bare, 1, tips), depth)
-        assert got == bounded_members(bare, tips, depth), (tips, depth)
 
 
 def test_bounded_semantic_subset_agreement(prefix):
