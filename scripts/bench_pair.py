@@ -23,9 +23,12 @@ under the key "<workload> trace=<t> seeds=<first>-<last>": every run's
 metrics, each side's median and quartiles per metric, and for each
 end-to-end metric the number of pairs the checkout won, whether the
 claim rule holds (wins in at least nine tenths of the pairs, and medians
-further apart than the base's quartile distance) and whether the
+further apart than the base's quartile distance), whether the
 checkout's median is no worse than the base's by more than the metric's
-bound in `BENCHMARK.json`. Nothing under `perfbench/` is written.
+bound in `BENCHMARK.json`, and whether the batch resolves the metric at
+all: it does not when the base's spread (quartile distance over median)
+exceeds that bound, unless every checkout run beats every base run.
+Nothing under `perfbench/` is written.
 """
 
 from __future__ import annotations
@@ -74,16 +77,21 @@ def export(rev: str, dest: Path) -> str:
 
 def compare(base: dict, change: dict, pairs: list[tuple[dict, dict]],
             spec: list[dict]) -> dict:
-    """Pair wins and the claim rule for each end-to-end metric."""
+    """Pair wins, the claim rule and the bound for each end-to-end metric.
+
+    A metric is resolved when the base's spread (quartile distance over
+    median) is within the metric's bound, or when every change run beats
+    every base run. An unresolved metric's ``within_bound`` says nothing:
+    the base's own runs differ by more than the bound.
+    """
     out = {}
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
         if name not in base:
             continue
-        wins = 0
-        for b, c in pairs:
-            bv, cv = b["metrics"][name]["value"], c["metrics"][name]["value"]
-            wins += (cv < bv) if lower else (cv > bv)
+        bvs = [b["metrics"][name]["value"] for b, _ in pairs]
+        cvs = [c["metrics"][name]["value"] for _, c in pairs]
+        wins = sum((cv < bv) if lower else (cv > bv) for bv, cv in zip(bvs, cvs))
         b_med, c_med = base[name]["median"], change[name]["median"]
         gap = b_med - c_med if lower else c_med - b_med
         out[name] = {
@@ -92,6 +100,8 @@ def compare(base: dict, change: dict, pairs: list[tuple[dict, dict]],
             "claim_holds": wins >= 0.9 * len(pairs)
             and gap > base[name]["q3"] - base[name]["q1"],
             "within_bound": -gap <= m["bound"] * abs(b_med),
+            "resolved": abs(base[name]["spread"]) <= m["bound"]
+            or (max(cvs) < min(bvs) if lower else min(cvs) > max(bvs)),
         }
     return out
 
@@ -134,7 +144,8 @@ def main() -> int:
     for name, v in verdicts.items():
         print(f"{name:16s} base {base[name]['median']:<12.6g} change "
               f"{change[name]['median']:<12.6g} wins {v['change_wins']}/{v['pairs']} "
-              f"claim_holds={v['claim_holds']} within_bound={v['within_bound']}")
+              f"claim_holds={v['claim_holds']} within_bound={v['within_bound']} "
+              f"resolved={v['resolved']}")
     out = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc[f"{args.workload} trace={args.trace} seeds={args.seeds[0]}-{args.seeds[-1]}"] = {

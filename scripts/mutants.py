@@ -177,6 +177,31 @@ MUTANTS = (
      "               and not any(t.startswith(u) for u in tips if len(u) < length)}",
      "new = {t for t in tips if len(t) == length}",
      "tests/test_symbolic.py"),
+    # the generator meet above level 1 reading the model's atom meet
+    ("src/magmas/symbolic.py",
+     "else gen_intersect",
+     "else g1.model.cone_meet",
+     "tests/test_symbolic.py"),
+    # the clustered meet tagging its tip with an index outside 0..k-1
+    ("src/magmas/symbolic.py",
+     "(m, 0)",
+     "(m, k)",
+     "tests/test_symbolic.py"),
+    # strict predecessors read without removing the successors, or with
+    # row bits outside the carrier
+    ("src/magmas/preorder.py",
+     "if not self.pred[a] & ~up & full:",
+     "if not self.pred[a] & full:",
+     "tests/test_preorder.py"),
+    ("src/magmas/preorder.py",
+     "if not self.pred[a] & ~up & full:",
+     "if not self.pred[a] & ~up:",
+     "tests/test_preorder.py"),
+    # the complement-duality walk without its carrier cap
+    ("src/magmas/topology.py",
+     "check_carrier_cap(p)\n    n, full = p.n, p.full_mask",
+     "n, full = p.n, p.full_mask",
+     "tests/test_topology.py"),
 )
 
 

@@ -134,11 +134,13 @@ class PreOrder:
 
         Returns (True, None) or (False, witness) with the first atom in
         carrier order that has none. Equivalent to the lower topology
-        having no minimal open set; false on every finite carrier.
+        having no minimal open set; false on every finite carrier. The
+        strict predecessors of a are its cone less its successors, read
+        inside the carrier, so a row bit outside it is never a witness.
         """
-        for a in range(self.n):
-            row = self.pred[a] & ~(1 << a)
-            if not any(not self.pred[b] >> a & 1 for b in bits(row)):
+        full = self.full_mask
+        for a, up in enumerate(self.succ):
+            if not self.pred[a] & ~up & full:
                 return False, a
         return True, None
 

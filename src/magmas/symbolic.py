@@ -23,12 +23,13 @@ class SymbolicPreOrder:
     ``leq`` decides the relation, ``strict_pred`` returns a witness
     strictly below its argument (the no-minimal-elements axiom made
     computable), and ``atoms_up_to`` enumerates the atoms of bounded
-    encoding depth for sampling and bounded semantics. ``cone_meet``
-    is present when the intersection of two principal cones is again a
-    principal cone or empty; models without it do not support
-    generator-level intersection. ``cones_up_to(tips, depth)`` lists the
-    bounded part of a union of principal cones: the atoms up to ``depth``
-    below some tip, in ``atoms_up_to`` order, each once.
+    encoding depth for sampling and bounded semantics. ``cone_meet(a, b)``
+    returns an atom whose principal cone is the intersection of the cones
+    of a and b, or None when they are disjoint, so generated opens stay
+    finitely generated under intersection. ``cones_up_to(tips, depth)``
+    lists the bounded part of a union of principal cones: the atoms up to
+    ``depth`` below some tip, in ``atoms_up_to`` order, each once. Every
+    field is required.
     """
 
     name: str
@@ -38,15 +39,15 @@ class SymbolicPreOrder:
     random_atom: Callable[[random.Random, int, int], object]
     render_atom: Callable[[object], str]
     parse_atom: Callable[[str], object]
+    cone_meet: Callable[[object, object], object | None]
     cones_up_to: Callable[[Sequence, int], list]
-    cone_meet: Callable[[object, object], object | None] | None = None
 
     def strict(self, a: object, b: object) -> bool:
         return self.leq(a, b) and not self.leq(b, a)
 
 
-def _bitstrings(lo: int, hi: int) -> Iterator[str]:
-    for length in range(lo, hi + 1):
+def _bitstrings(hi: int) -> Iterator[str]:
+    for length in range(1, hi + 1):
         for tup in itertools.product("01", repeat=length):
             yield "".join(tup)
 
@@ -90,13 +91,14 @@ def binary_string_model() -> SymbolicPreOrder:
 
     Every cone is the infinite set of extensions of its tip, so its
     bounded part is listed directly, and appending "0" always gives a
-    strict predecessor.
+    strict predecessor. Two cones are nested or disjoint, so their meet
+    is the longer tip or None.
     """
     return SymbolicPreOrder(
         name="prefix",
         leq=lambda s, t: s.startswith(t),
         strict_pred=lambda t: t + "0",
-        atoms_up_to=lambda depth: _bitstrings(1, depth),
+        atoms_up_to=_bitstrings,
         random_atom=_random_bitstring,
         render_atom=lambda s: s,
         parse_atom=_check_bitstring,
@@ -108,16 +110,16 @@ def binary_string_model() -> SymbolicPreOrder:
 def clustered_model(k: int) -> SymbolicPreOrder:
     """Prefix model with k-fold mutual-dependence clusters.
 
-    Atoms are (string, i) with i < k; the relation ignores the tag, so
-    each string carries one equivalence class of size k.
+    Atoms are (string, i) with i < k and render as ``string#i``. Every
+    operation is the prefix model's applied to the string part: the
+    relation ignores the tag, so each string carries one equivalence
+    class of size k. An atom the model builds from a string (a strict
+    predecessor, a cone meet) takes tag 0; listed atoms run through all
+    k tags of each string.
     """
     if k < 2:
         raise ValueError("cluster size must be at least 2")
-
-    def atoms_up_to(depth: int) -> Iterator[tuple[str, int]]:
-        for s in _bitstrings(1, depth):
-            for i in range(k):
-                yield (s, i)
+    base = binary_string_model()
 
     def parse(text: str) -> tuple[str, int]:
         s, sep, idx = text.partition("#")
@@ -126,21 +128,23 @@ def clustered_model(k: int) -> SymbolicPreOrder:
         i = int(idx)
         if not 0 <= i < k:
             raise ValueError(f"cluster index {i} outside 0..{k - 1}")
-        return (_check_bitstring(s), i)
+        return (base.parse_atom(s), i)
+
+    def cone_meet(a: tuple[str, int], b: tuple[str, int]) -> tuple[str, int] | None:
+        m = base.cone_meet(a[0], b[0])
+        return None if m is None else (m, 0)
 
     return SymbolicPreOrder(
         name=f"clustered:{k}",
-        leq=lambda a, b: a[0].startswith(b[0]),
-        strict_pred=lambda a: (a[0] + "0", 0),
-        atoms_up_to=atoms_up_to,
-        random_atom=lambda rng, lo, hi: (_random_bitstring(rng, lo, hi), rng.randrange(k)),
-        render_atom=lambda a: f"{a[0]}#{a[1]}",
+        leq=lambda a, b: base.leq(a[0], b[0]),
+        strict_pred=lambda a: (base.strict_pred(a[0]), 0),
+        atoms_up_to=lambda depth: ((s, i) for s in base.atoms_up_to(depth) for i in range(k)),
+        random_atom=lambda rng, lo, hi: (base.random_atom(rng, lo, hi), rng.randrange(k)),
+        render_atom=lambda a: f"{base.render_atom(a[0])}#{a[1]}",
         parse_atom=parse,
-        cone_meet=lambda a, b: (a[0], 0) if a[0].startswith(b[0])
-        else ((b[0], 0) if b[0].startswith(a[0]) else None),
+        cone_meet=cone_meet,
         cones_up_to=lambda tips, depth: [
-            (s, i) for s in _extensions_up_to([a[0] for a in tips], depth)
-            for i in range(k)],
+            (s, i) for s in base.cones_up_to([a[0] for a in tips], depth) for i in range(k)],
     )
 
 
@@ -229,32 +233,15 @@ def gen_union(g1: GenOpen, g2: GenOpen) -> GenOpen:
 def gen_intersect(g1: GenOpen, g2: GenOpen) -> GenOpen | None:
     """Pairwise meet of generator cones; None when the intersection is empty.
 
-    Only guaranteed to stay finitely generated in models that provide
-    cone_meet (both built-ins do); raises otherwise.
+    Two cones meet in the cone of the meet of their tips: the model's
+    ``cone_meet`` at level 1, and the intersection one level down above
+    it, since the opens below two opens are those below their meet.
     """
     _check_same(g1, g2)
-    if g1.level == 1:
-        meet = g1.model.cone_meet
-        if meet is None:
-            raise ValueError(
-                f"model {g1.model.name!r} does not support cone intersection"
-            )
-        gens = []
-        for a in g1.generators:
-            for b in g2.generators:
-                m = meet(a, b)
-                if m is not None:
-                    gens.append(m)
-    else:
-        gens = []
-        for x in g1.generators:
-            for y in g2.generators:
-                m = gen_intersect(x, y)
-                if m is not None:
-                    gens.append(m)
-    if not gens:
-        return None
-    return GenOpen(g1.model, g1.level, tuple(gens))
+    meet = g1.model.cone_meet if g1.level == 1 else gen_intersect
+    gens = tuple(m for x in g1.generators for y in g2.generators
+                 if (m := meet(x, y)) is not None)
+    return GenOpen(g1.model, g1.level, gens) if gens else None
 
 
 def strict_shrink(g: GenOpen) -> GenOpen:
@@ -271,23 +258,18 @@ def strict_shrink(g: GenOpen) -> GenOpen:
 
 
 def normalize(g: GenOpen) -> GenOpen:
-    """Drop generators absorbed by another generator's cone."""
-    kept: list = []
-    for i, a in enumerate(g.generators):
-        absorbed = False
-        for j, b in enumerate(g.generators):
-            if i == j:
-                continue
-            if g.level == 1:
-                wider = g.model.leq(a, b) and not (g.model.leq(b, a) and j > i)
-            else:
-                wider = gen_subset(a, b) and not (gen_subset(b, a) and j > i)
-            if wider:
-                absorbed = True
-                break
-        if not absorbed:
-            kept.append(a)
-    return GenOpen(g.model, g.level, tuple(kept))
+    """Drop generators absorbed by another generator's cone; of mutually
+    absorbed generators the first is kept.
+
+    The cones are read through the level's relation: the model's ``leq``
+    at level 1, and inclusion one level down above it.
+    """
+    leq = g.model.leq if g.level == 1 else gen_subset
+    gens = g.generators
+    kept = tuple(a for i, a in enumerate(gens)
+                 if not any(leq(a, b) and not (leq(b, a) and j > i)
+                            for j, b in enumerate(gens) if j != i))
+    return GenOpen(g.model, g.level, kept)
 
 
 def members_up_to(g: GenOpen, depth: int) -> list[object]:

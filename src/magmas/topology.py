@@ -136,8 +136,9 @@ def duality_failures(p: PreOrder, *, table: list[AtomSet] | None = None) -> list
 
     Lower openness reads the table of ``pred`` (``table``, when the
     caller already holds it), upper openness the table of the transpose
-    ``succ``.
+    ``succ``. Raises CapExceeded over ``CARRIER_CAP``.
     """
+    check_carrier_cap(p)
     n, full = p.n, p.full_mask
     down = closure_table(p.pred, n) if table is None else table
     up = closure_table(p.succ, n)

@@ -208,6 +208,11 @@ def test_satisfies_star(chain3, twocycle, models_by_size):
     for n in (1, 2, 3):
         for p in models_by_size[n]:
             assert p.satisfies_star()[0] is False
+    # a row bit outside the carrier names no atom: it is no strict
+    # predecessor, and it is never read as a row of its own
+    assert PreOrder(("a",), (0b11,)).satisfies_star() == (False, 0)
+    assert PreOrder(("a", "b"), (0b101, 0b111)).satisfies_star() == (False, 0)
+    assert PreOrder(("a", "b"), (0b111, 0b110)).satisfies_star() == (False, 1)
 
 
 # --- enumeration -------------------------------------------------------------

@@ -161,14 +161,9 @@ def test_gen_intersect_clustered(clustered):
     assert met is not None
     assert gen_member(met, ("011", 1))
     assert not gen_member(met, ("00", 0))
-
-
-def test_gen_intersect_unsupported_model(prefix):
-    import dataclasses
-    bare = dataclasses.replace(prefix)  # eq=False dataclass, still copyable
-    object.__setattr__(bare, "cone_meet", None)
-    with pytest.raises(ValueError, match="intersection"):
-        gen_intersect(GenOpen(bare, 1, ("0",)), GenOpen(bare, 1, ("1",)))
+    # the meet's tip is the longer string, tagged 0 like a strict predecessor
+    met = gen_intersect(pr(clustered, ("0", 1), ("1", 1)), pr(clustered, ("01", 1)))
+    assert met is not None and met.generators == (("01", 0),)
 
 
 def test_gen_intersect_semantics(prefix):
@@ -181,6 +176,46 @@ def test_gen_intersect_semantics(prefix):
         for z in prefix.atoms_up_to(6):
             both = gen_member(g1, z) and gen_member(g2, z)
             assert both == (met is not None and gen_member(met, z))
+
+
+def level2_cases(model, seed, count):
+    """Seeded level-2 opens over level-1 opens of one to three tips of
+    length 1-3, and a pool of level-1 opens to test membership on."""
+    rng = random.Random(seed)
+
+    def level1():
+        return GenOpen(model, 1, tuple(model.random_atom(rng, 1, 3)
+                                       for _ in range(rng.randint(1, 3))))
+
+    def level2():
+        return GenOpen(model, 2, tuple(level1() for _ in range(rng.randint(1, 3))))
+
+    pool = [level1() for _ in range(40)]
+    return [(level2(), level2()) for _ in range(count)], pool
+
+
+@pytest.mark.parametrize("name", ["prefix", "clustered:2"])
+def test_gen_intersect_level2_semantics(name):
+    cases, pool = level2_cases(model_by_name(name), f"meet2:{name}", 40)
+    empty = 0
+    for g1, g2 in cases:
+        met = gen_intersect(g1, g2)
+        empty += met is None
+        assert met is None or met.level == 2
+        for z in pool:
+            both = gen_member(g1, z) and gen_member(g2, z)
+            assert both == (met is not None and gen_member(met, z)), (g1, g2, z)
+    assert 0 < empty < len(cases)
+
+
+@pytest.mark.parametrize("name", ["prefix", "clustered:2"])
+def test_normalize_level2_keeps_the_set(name):
+    cases, _ = level2_cases(model_by_name(name), f"normalize2:{name}", 40)
+    for g, h in cases:
+        g = gen_union(g, h)
+        slim = normalize(g)
+        assert gen_equal(slim, g)
+        assert set(slim.generators) <= set(g.generators)
 
 
 def test_strict_shrink_examples(prefix):
@@ -221,6 +256,9 @@ def test_normalize_drops_absorbed(prefix):
     assert gen_equal(slim, g)
     dup = pr(prefix, "0", "0")
     assert normalize(dup).generators == ("0",)
+    g2 = GenOpen(prefix, 2, (pr(prefix, "00"), pr(prefix, "0"), pr(prefix, "1"),
+                             pr(prefix, "0", "01")))
+    assert [x.generators for x in normalize(g2).generators] == [("0",), ("1",)]
 
 
 def test_members_up_to_monotone(prefix):

@@ -85,6 +85,8 @@ def test_opens_cap():
         enumerate_opens(wide)
     with pytest.raises(CapExceeded):
         open_masks(wide)
+    with pytest.raises(CapExceeded):
+        duality_failures(wide)
 
 
 def test_downset_validation(chain3):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -564,6 +565,46 @@ def test_lifted_minimality_reads_inclusion_rows(monkeypatch, models_by_size):
         assert bool(_chk_shift_minimal_contra(p, "m", ctx)) == has_minimal, p
         verdicts.append(has_minimal)
     assert not all(verdicts[-len(raw):])
+
+
+def relabel(p, perm):
+    """p with atom a moved to index perm[a] and each row's carrier bits
+    moved alike; the labels stay in place, and row bits outside the
+    carrier stay as they are."""
+    n, full = p.n, p.full_mask
+    rows = [0] * n
+    for b, row in enumerate(p.pred):
+        rows[perm[b]] = row & ~full | sum(1 << perm[a] for a in bits(row & full))
+    return PreOrder(p.labels, tuple(rows))
+
+
+CARRIER_SUITES = [s for s in SUITES.values() if s.scope == "finite" and s.max_n is None]
+
+
+def test_carrier_suites_are_label_invariant(models_by_size):
+    # every carrier suite states a property of the order, not of the atom
+    # indices: a relabelled model gets the same verdict and the same
+    # number of witnesses of each kind, closed models and raw rows alike
+    assert len(CARRIER_SUITES) == 15
+    ctx = RunContext(SuiteConfig())
+    rng = random.Random("relabel")
+    preorders = [p for n in (1, 2, 3, 4) for p in models_by_size[n]]
+    raw = raw_row_models("relabel", 600, 4)
+    assert len(preorders) == 389
+
+    def kinds(suite, p):
+        witnesses = _witnesses(suite, p, "m", ctx)
+        return bool(witnesses), Counter(w.get("kind") for w in witnesses)
+    failing = []
+    for p in preorders + raw:
+        want = {s.suite_id: kinds(s, p) for s in CARRIER_SUITES}
+        failing.append(any(verdict for verdict, _ in want.values()))
+        for _ in range(2):
+            perm = rng.sample(range(p.n), p.n)
+            q = relabel(p, perm)
+            for s in CARRIER_SUITES:
+                assert kinds(s, q) == want[s.suite_id], (s.suite_id, p, perm)
+    assert not any(failing[:len(preorders)]) and any(failing[len(preorders):])
 
 
 # --- the block-wise runner and its per-block memo -----------------------------
