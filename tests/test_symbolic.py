@@ -211,8 +211,8 @@ def test_gen_intersect_level2_semantics(name):
 @pytest.mark.parametrize("name", ["prefix", "clustered:2"])
 def test_normalize_level2_keeps_the_set(name):
     cases, _ = level2_cases(model_by_name(name), f"normalize2:{name}", 40)
-    for g, h in cases:
-        g = gen_union(g, h)
+    for g1, g2 in cases:
+        g = gen_union(g1, g2)
         slim = normalize(g)
         assert gen_equal(slim, g)
         assert set(slim.generators) <= set(g.generators)
