@@ -202,6 +202,26 @@ MUTANTS = (
      "check_carrier_cap(p)\n    n, full = p.n, p.full_mask",
      "n, full = p.n, p.full_mask",
      "tests/test_topology.py"),
+    # level 1 grown without its carrier cap
+    ("src/magmas/hierarchy.py",
+     "                check_carrier_cap(self.base)\n",
+     "",
+     "tests/test_hierarchy.py"),
+    # the one-point extensions without the empty down-set
+    ("src/magmas/preorder.py",
+     "downs = [0, *downset_masks(rows, n - 1)]",
+     "downs = [*downset_masks(rows, n - 1)]",
+     "tests/test_preorder.py"),
+    # closure idempotence and cone transitivity indexing a row bit past
+    # the carrier instead of naming it
+    ("src/magmas/verify.py",
+     "    if outside := _rows_outside_carrier(p):\n        return outside\n",
+     "",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "    if out := _rows_outside_carrier(p):\n        return out\n",
+     "    out = []\n",
+     "tests/test_verify.py"),
 )
 
 

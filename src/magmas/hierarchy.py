@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
-from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_set, mask_order
-from .topology import (downset_masks, inclusion_rows, is_lower_open, open_masks,
-                       row_union)
+from .preorder import (AtomSet, CapExceeded, PreOrder, bits, downset_masks, format_set,
+                       mask_order)
+from .topology import check_carrier_cap, inclusion_rows, is_lower_open, row_union
 
 GROWTH_CAP = 20  # |M2| reaches 18 on the 3-atom antichain
 
@@ -232,7 +232,10 @@ class UnionReport:
 class Hierarchy:
     """Materialized levels plus membership decisions over one pre-order.
 
-    Level 1 is capped by ``topology.CARRIER_CAP``, level growth by growth_cap.
+    :meth:`build` grows each level as the nonempty down-closed sets of the
+    tier below, by one :func:`downset_masks` walk: level 1 over the carrier,
+    capped by ``topology.CARRIER_CAP``, later levels over the level below
+    under inclusion, capped by growth_cap.
     Each decided value is memoized once with its level, or 0 when it is not
     a member of the level of its rank; each inclusion cone is cached as a
     frozenset and handed out uncopied.
@@ -262,26 +265,19 @@ class Hierarchy:
         if depth < 1:
             raise ValueError("levels are numbered from 1")
         while len(self._levels) < depth:
-            if not self._levels:
-                self._levels.append(self._level1())
+            if self._levels:
+                lv = self._levels[-1]
+                if len(lv) > self.growth_cap:
+                    raise CapExceeded(f"level {lv.index} has {len(lv)} elements, "
+                                      f"over growth cap {self.growth_cap}")
+                rows, below = lv.sub_rows, lv.values
             else:
-                self._levels.append(self._next(self._levels[-1]))
+                check_carrier_cap(self.base)
+                rows, below = self.base.pred, self.base.labels
+            masks = tuple(sorted(downset_masks(rows, len(below)), key=mask_order))
+            values = tuple(frozenset(below[i] for i in bits(m)) for m in masks)
+            self._levels.append(HierarchyLevel(len(self._levels) + 1, masks, values))
         return self._levels[:depth]
-
-    def _level1(self) -> HierarchyLevel:
-        masks = tuple(open_masks(self.base))
-        values = tuple(frozenset(self.base.set_labels(m)) for m in masks)
-        return HierarchyLevel(1, masks, values)
-
-    def _next(self, lv: HierarchyLevel) -> HierarchyLevel:
-        k = len(lv)
-        if k > self.growth_cap:
-            raise CapExceeded(
-                f"level {lv.index} has {k} elements, over growth cap {self.growth_cap}"
-            )
-        masks = sorted(downset_masks(lv.sub_rows, k), key=mask_order)
-        values = tuple(frozenset(lv.values[i] for i in bits(m)) for m in masks)
-        return HierarchyLevel(lv.index + 1, tuple(masks), values)
 
     # --- membership --------------------------------------------------------
 

@@ -211,6 +211,23 @@ def _close(rows: list[AtomSet]) -> tuple[AtomSet, ...]:
     return tuple(rows)
 
 
+def downset_masks(rows: tuple[AtomSet, ...], n: int) -> Iterator[AtomSet]:
+    """All nonempty downward-closed masks of an n-element pre-order, ascending.
+
+    ``rows[j]`` is the predecessor mask of element j, closed or raw; a row
+    bit past n keeps its element out. Plain subset walk; callers cap n.
+    """
+    for s in range(1, 1 << n):
+        m = s
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] & ~s:
+                break
+            m ^= low
+        else:
+            yield s
+
+
 def build(atoms: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> PreOrder:
     """Make the pre-order generated by ``edges`` (pairs (a, b) meaning a <= b).
 
@@ -256,7 +273,7 @@ def _extensions(n: int) -> list[tuple[AtomSet, ...]]:
     x = 1 << (n - 1)
     out = []
     for rows in _extensions(n - 1):
-        downs = [m for m in range(x) if all(not rows[a] & ~m for a in bits(m))]
+        downs = [0, *downset_masks(rows, n - 1)]
         for rest in downs:
             # The up-closed sets are the complements of the down-closed ones.
             up = (x - 1) ^ rest

@@ -12,8 +12,10 @@ one pass over the atoms, and needs no enumeration.
 masks; :func:`enumerate_opens` wraps the same list in validated
 :class:`DownSet` values. It reads them off the :func:`closure_table` of
 ``pred`` (x is open when ``t[x]`` stays inside x), in the mask order kept
-once per carrier size; :func:`downset_masks`, the plain subset walk, is
-left to the hierarchy's level growth.
+once per carrier size: the checks share that table, and reading it is
+faster than sorting the output of a walk. :func:`downset_masks`, the
+subset walk over raw rows that grows every hierarchy level and every
+one-point extension, lives in :mod:`.preorder` and is re-exported here.
 
 The predicates read the relation's rows directly: ``pred`` for lower
 openness and down-closure, the stored transpose ``succ`` for upper
@@ -32,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .preorder import AtomSet, CapExceeded, PreOrder, bits, format_atom_set, mask_order
+from .preorder import (AtomSet, CapExceeded, PreOrder, bits, downset_masks, format_atom_set,
+                       mask_order)
 
 CARRIER_CAP = 12  # carrier size past which a walk over all 2^n subsets stops
 
@@ -149,25 +152,6 @@ def duality_failures(p: PreOrder, *, table: list[AtomSet] | None = None) -> list
 def down_closure(p: PreOrder, s: AtomSet) -> AtomSet:
     """Union of the predecessor cones of s: the least open superset."""
     return row_union(p.pred, s)
-
-
-def downset_masks(rows: tuple[AtomSet, ...], n: int) -> Iterator[AtomSet]:
-    """All nonempty downward-closed masks of an n-element pre-order.
-
-    ``rows[j]`` is the predecessor mask of element j. Plain subset walk
-    over all 2^n - 1 candidates; callers cap n.
-    """
-    for s in range(1, 1 << n):
-        m = s
-        ok = True
-        while m:
-            low = m & -m
-            if rows[low.bit_length() - 1] & ~s:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            yield s
 
 
 def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:

@@ -225,16 +225,18 @@ def _pred_closure(p: PreOrder) -> list[int]:
     return tp.closure_table(p.pred, p.n)
 
 
+def _rows_outside_carrier(p: PreOrder) -> list[dict]:
+    """One witness per row bit past the carrier, for checks that index with each bit."""
+    return [{"kind": "row-outside-carrier", "atom": p.labels[b], "bit": a}
+            for b, row in enumerate(p.pred) for a in bits(row & ~p.full_mask)]
+
+
 def _chk_closure_idempotent(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    edges = [
-        (p.labels[a], p.labels[b])
-        for b in range(p.n)
-        for a in bits(p.pred[b])
-    ]
-    rebuilt = build(p.labels, edges)
-    if rebuilt.pred != p.pred:
-        return [{"rebuilt_rows": list(rebuilt.pred)}]
-    return []
+    if outside := _rows_outside_carrier(p):
+        return outside
+    rebuilt = build(p.labels, [(p.labels[a], p.labels[b])
+                               for b in range(p.n) for a in bits(p.pred[b])])
+    return [] if rebuilt.pred == p.pred else [{"rebuilt_rows": list(rebuilt.pred)}]
 
 
 def _chk_strict_laws(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
@@ -262,7 +264,8 @@ def _chk_class_vs_cone(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_cone_transitive(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    out = []
+    if out := _rows_outside_carrier(p):
+        return out
     for a in range(p.n):
         cone = p.predecessors(a)
         for b in bits(cone):

@@ -3,13 +3,13 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from magmas import (CapExceeded, Hierarchy, MElem, Membership, PreOrder,
-                    enumerate_opens, hf_rank, hf_union)
+from magmas import (CapExceeded, Hierarchy, MElem, Membership, PreOrder, build,
+                    enumerate_opens, hf_rank, hf_union, open_masks)
 from magmas.hierarchy import (basic_open_partition_free, find_open_partition,
                               level_basic_open_partition_free, parse_value,
                               render_value)
 from magmas.preorder import bits
-from magmas.topology import inclusion_rows
+from magmas.topology import CARRIER_CAP, inclusion_rows
 
 from oracles import (_ideals_by_subsets, closure_pairs, ideals_of, inclusion_rows_of,
                      literal_rank, mask_is_open, open_split_exists, opens_of,
@@ -97,6 +97,26 @@ def test_level1_matches_open_enumeration(chain3, antichain2, twocycle):
         assert lv.index == 1 and len(lv) == sizes
         assert list(lv.values) == [frozenset(d.labels())
                                    for d in enumerate_opens(p)]
+    # seeded raw rows over n + 1 bits: unclosed, and bit n outside the
+    # carrier keeps its atom out of every level-1 set, as in open_masks
+    rng = random.Random("level1-raw")
+    outside = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        p = PreOrder(tuple("abcde"[:n]), tuple(rng.getrandbits(n + 1) for _ in range(n)))
+        outside += any(row >> n for row in p.pred)
+        lv = h_of(p).level(1)
+        assert lv.masks == tuple(open_masks(p)), p
+        assert list(lv.values) == [frozenset(p.set_labels(m)) for m in lv.masks]
+    assert outside > 200
+
+
+def test_level1_carrier_cap():
+    # level 1 walks every subset of the carrier, so it stops past CARRIER_CAP
+    with pytest.raises(CapExceeded):
+        Hierarchy(build([f"x{i}" for i in range(CARRIER_CAP + 1)])).build(1)
+    at_cap = Hierarchy(build([f"x{i}" for i in range(CARRIER_CAP)]))
+    assert len(at_cap.level(1)) == 2 ** CARRIER_CAP - 1
 
 
 def test_antichain2_level2_exact(antichain2):

@@ -607,6 +607,25 @@ def test_carrier_suites_are_label_invariant(models_by_size):
     assert not any(failing[:len(preorders)]) and any(failing[len(preorders):])
 
 
+def test_carrier_suites_name_rows_outside_the_carrier():
+    # on raw rows no carrier suite breaks down into an exception witness;
+    # the two checks that index a label or a row with each row bit name
+    # every bit past the carrier, and only those, as its own witness
+    ctx = RunContext(SuiteConfig())
+    outside = 0
+    for p in raw_row_models("relabel", 600, 4):
+        bits_out = [(b, a) for b in range(p.n) for a in bits(p.pred[b] >> p.n << p.n)]
+        outside += bool(bits_out)
+        for s in CARRIER_SUITES:
+            witnesses = _witnesses(s, p, "m", ctx)
+            assert all(w.get("kind") != "exception" for w in witnesses), (s.suite_id, p)
+            if s.suite_id in ("closure-idempotence", "cone-transitivity"):
+                named = [(p.atom(w["atom"]), w["bit"]) for w in witnesses
+                         if w.get("kind") == "row-outside-carrier"]
+                assert named == bits_out, (s.suite_id, p)
+    assert outside == 457
+
+
 # --- the block-wise runner and its per-block memo -----------------------------
 
 FINITE_SUITES = [s for s in SUITES.values() if s.scope == "finite"]
@@ -720,9 +739,8 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
 
 
 def test_each_model_builds_at_most_two_closure_tables(monkeypatch):
-    # every suite reads the one shared pred table of a model, complement
-    # duality adds the succ table, and each hierarchy base builds one more
-    # for its level 1
+    # every suite reads the one shared pred table of a model, and complement
+    # duality adds the succ table
     real = tp.closure_table
     calls = []
 
@@ -736,7 +754,7 @@ def test_each_model_builds_at_most_two_closure_tables(monkeypatch):
     checked = {r.suite_id: r.models_checked for r in report.results}
     assert checked["open-complement-duality"] == 389
     assert checked["hierarchy-levels"] == 34
-    assert len(calls) <= 2 * 389 + 34
+    assert len(calls) <= 2 * 389
 
 
 def test_models_are_streamed_block_by_block(monkeypatch):
