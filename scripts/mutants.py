@@ -146,11 +146,21 @@ MUTANTS = (
      'yield (p.labels[a] if a < p.n else f"#{a}"), p.labels[b]',
      "yield p.labels[a], p.labels[b]",
      "tests/test_verify.py"),
-    # open_masks blind to row bits outside the carrier
+    # the open reader blind to row bits outside the carrier
     ("src/magmas/topology.py",
      "if not t[x] & ~x]",
      "if not t[x] & p.full_mask & ~x]",
      "tests/test_topology.py"),
+    # the minimal opens left in set order, not sorted as the opens are
+    ("src/magmas/topology.py",
+     "return sorted(constant_rows(p.pred), key=mask_order)",
+     "return list(constant_rows(p.pred))",
+     "tests/test_topology.py"),
+    # split_cones listing the cones that do not split
+    ("src/magmas/hierarchy.py",
+     "if find_open_partition(rows, cone) is not None]",
+     "if find_open_partition(rows, cone) is None]",
+     "tests/test_hierarchy.py"),
     # inclusion_rows reading the columns of the bits inside masks[i]
     ("src/magmas/topology.py",
      "m = union & ~mi",

@@ -22,14 +22,12 @@ from .preorder import (
     parse_preorder,
 )
 from .topology import (
-    DownSet,
     down_closure,
     enumerate_opens,
     is_lower_open,
     is_minimal_open,
     is_saturated,
     minimal_opens,
-    open_masks,
 )
 from .shifting import (
     ConnectionCheck,

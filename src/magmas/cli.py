@@ -27,8 +27,8 @@ def _cmd_opens(args: argparse.Namespace) -> int:
     if args.count:
         print(len(opens))
         return 0
-    for d in opens:
-        print(format_atom_set(p, d.members))
+    for s in opens:
+        print(format_atom_set(p, s))
     return 0
 
 
@@ -114,8 +114,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("star: satisfied")
     else:
         print(f"star: unsatisfied (witness {p.labels[witness]})")
-    opens = tp.enumerate_opens(p)
-    print(f"opens: {len(opens)}")
+    print(f"opens: {len(tp.enumerate_opens(p))}")
     print(f"minimal: {len(tp.minimal_opens(p))}")
     return 0
 
@@ -217,8 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError, IndexError, OSError,
-            CapExceeded) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

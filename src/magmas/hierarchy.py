@@ -459,20 +459,13 @@ def find_open_partition(rows: tuple[AtomSet, ...], x: AtomSet
     return (min(comp, rest), max(comp, rest)) if rest else None
 
 
-def _split_cones(rows: tuple[AtomSet, ...]) -> list[int]:
+def split_cones(rows: tuple[AtomSet, ...]) -> list[int]:
+    """The elements i whose basic open ``rows[i]`` splits into two
+    disjoint nonempty opens (:func:`find_open_partition`).
+
+    Read on a carrier's ``pred`` or on a level's ``sub_rows``. Empty on
+    every model: a cone's tip must fall in one block, dragging the whole
+    cone with it.
+    """
     return [i for i, cone in enumerate(rows)
             if find_open_partition(rows, cone) is not None]
-
-
-def basic_open_partition_free(p: PreOrder) -> list[int]:
-    """Atoms whose predecessor cone admits a two-block open partition.
-
-    Empty on every model: a cone's tip must fall in one block, dragging
-    the whole cone with it.
-    """
-    return _split_cones(p.pred)
-
-
-def level_basic_open_partition_free(lv: HierarchyLevel) -> list[int]:
-    """Same check for the basic opens of one materialized level's space."""
-    return _split_cones(lv.sub_rows)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .preorder import AtomSet, PreOrder, format_atom_set, mask_order
-from .topology import (check_carrier_cap, closure_table, down_closure, inclusion_rows,
-                       open_masks, subset_families)
+from .topology import (check_carrier_cap, closure_table, down_closure, enumerate_opens,
+                       inclusion_rows, subset_families)
 
 
 def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
@@ -186,6 +186,6 @@ def preorder_of_opens(p: PreOrder) -> PreOrder:
 
     Pseudo-atom labels are the rendered open sets.
     """
-    opens = open_masks(p)
+    opens = enumerate_opens(p)
     labels = tuple(format_atom_set(p, s) for s in opens)
     return PreOrder(labels, inclusion_rows(opens))

@@ -8,14 +8,14 @@ A minimal open is a predecessor cone equal to the cone of each of its
 members, so :func:`minimal_opens` reads them with :func:`constant_rows`,
 one pass over the atoms, and needs no enumeration.
 
-:func:`open_masks` lists them as bare bitmasks, for callers that work on
-masks; :func:`enumerate_opens` wraps the same list in validated
-:class:`DownSet` values. It reads them off the :func:`closure_table` of
-``pred`` (x is open when ``t[x]`` stays inside x), in the mask order kept
-once per carrier size: the checks share that table, and reading it is
-faster than sorting the output of a walk. :func:`downset_masks`, the
-subset walk over raw rows that grows every hierarchy level and every
-one-point extension, lives in :mod:`.preorder` and is re-exported here.
+:func:`enumerate_opens` lists them as bare bitmasks, the one
+representation the library uses for a set of atoms. It reads them off
+the :func:`closure_table` of ``pred`` (x is open when ``t[x]`` stays
+inside x), in the mask order kept once per carrier size: the checks
+share that table, and reading it is faster than sorting the output of a
+walk. :func:`downset_masks`, the subset walk over raw rows that grows
+every hierarchy level and every one-point extension, lives in
+:mod:`.preorder` and is re-exported here.
 
 The predicates read the relation's rows directly: ``pred`` for lower
 openness and down-closure, the stored transpose ``succ`` for upper
@@ -32,39 +32,12 @@ family by inclusion one column (bit) at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .preorder import (AtomSet, CapExceeded, PreOrder, bits, downset_masks, format_atom_set,
-                       mask_order)
+from .preorder import AtomSet, CapExceeded, PreOrder, bits, downset_masks, mask_order
 
 CARRIER_CAP = 12  # carrier size past which a walk over all 2^n subsets stops
-
-
-@dataclass(frozen=True)
-class DownSet:
-    """A validated nonempty lower-open subset of a carrier."""
-
-    base: PreOrder
-    members: AtomSet
-
-    def __post_init__(self) -> None:
-        if self.members == 0:
-            raise ValueError("a magma is a nonempty set")
-        if self.members & ~self.base.full_mask:
-            raise ValueError("members outside the carrier")
-        if not is_lower_open(self.base, self.members):
-            raise ValueError("set is not downward closed")
-
-    def __contains__(self, a: int) -> bool:
-        return bool(self.members >> a & 1)
-
-    def labels(self) -> list[str]:
-        return self.base.set_labels(self.members)
-
-    def __repr__(self) -> str:
-        return format_atom_set(self.base, self.members)
 
 
 def check_carrier_cap(p: PreOrder) -> None:
@@ -90,8 +63,8 @@ def row_union(rows: Sequence[AtomSet], s: AtomSet) -> AtomSet:
 def is_lower_open(p: PreOrder, s: AtomSet) -> bool:
     """Downward closed: every member brings its whole predecessor cone.
 
-    The empty set counts as open here; DownSet construction is what
-    enforces nonemptiness.
+    The empty set counts as open here; the magmas of level 1 are the
+    nonempty opens that :func:`enumerate_opens` lists.
     """
     return not row_union(p.pred, s) & ~s
 
@@ -187,7 +160,7 @@ def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:
     return tuple(rows)
 
 
-def open_masks(p: PreOrder, *, table: list[AtomSet] | None = None) -> list[AtomSet]:
+def enumerate_opens(p: PreOrder, *, table: list[AtomSet] | None = None) -> list[AtomSet]:
     """Masks of the nonempty lower-open subsets, sorted by size then bit pattern.
 
     Read from the :func:`closure_table` of ``pred`` (``table``, when the
@@ -200,18 +173,12 @@ def open_masks(p: PreOrder, *, table: list[AtomSet] | None = None) -> list[AtomS
     return [x for x in _ordered_masks(p.n) if not t[x] & ~x]
 
 
-def enumerate_opens(p: PreOrder) -> list[DownSet]:
-    """All nonempty lower-open subsets, sorted by size then bit pattern."""
-    return [DownSet(p, s) for s in open_masks(p)]
+def is_minimal_open(p: PreOrder, s: AtomSet) -> bool:
+    """No open set sits properly inside s.
 
-
-def is_minimal_open(p: PreOrder, x: DownSet | AtomSet) -> bool:
-    """No open set sits properly inside x.
-
-    Decided pointwise: x is minimal exactly when it equals the
+    Decided pointwise: s is minimal exactly when it equals the
     predecessor cone of each of its members.
     """
-    s = x.members if isinstance(x, DownSet) else x
     if not s:
         return False
     pred = p.pred
@@ -237,13 +204,13 @@ def constant_rows(rows: Sequence[AtomSet]) -> set[AtomSet]:
     return {r for r, h in holders.items() if r and not r & ~h}
 
 
-def minimal_opens(p: PreOrder) -> list[DownSet]:
-    """The minimal elements of the open-set family; never empty finitely.
+def minimal_opens(p: PreOrder) -> list[AtomSet]:
+    """Masks of the minimal elements of the open-set family; never empty finitely.
 
     The :func:`constant_rows` of ``pred``, found with no enumeration and
-    sorted by size then bit pattern, as :func:`open_masks` sorts.
+    sorted by size then bit pattern, as :func:`enumerate_opens` sorts.
     """
-    return [DownSet(p, s) for s in sorted(constant_rows(p.pred), key=mask_order)]
+    return sorted(constant_rows(p.pred), key=mask_order)
 
 
 def is_saturated(p: PreOrder, s: AtomSet) -> bool:

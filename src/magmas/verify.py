@@ -286,7 +286,7 @@ def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict
 
 def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     t = ctx.once(_pred_closure, p)
-    opens = ctx.once(tp.open_masks, p, table=t)
+    opens = ctx.once(tp.enumerate_opens, p, table=t)
     # every union and meet below is a mask of the carrier, so openness is
     # read from one closure table over all masks
     is_open = [not c & ~s for s, c in enumerate(t)]
@@ -310,7 +310,7 @@ def _chk_duality(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = ctx.once(tp.open_masks, p, table=ctx.once(_pred_closure, p))
+    opens = ctx.once(tp.enumerate_opens, p, table=ctx.once(_pred_closure, p))
     family = sum(1 << x for x in opens)
     power = tp.subset_families(p.n)
     const_cones = tp.constant_rows([p.predecessors(a) for a in range(p.n)])
@@ -337,7 +337,7 @@ def _chk_star_iff_no_minimal(p: PreOrder, name: str, ctx: RunContext) -> list[di
 
 
 def _chk_cones_contain_minimal(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    minimal = [d.members for d in ctx.once(tp.minimal_opens, p)]
+    minimal = ctx.once(tp.minimal_opens, p)
     out = []
     for a in range(p.n):
         cone = p.predecessors(a)
@@ -387,7 +387,7 @@ def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # an open of the lifted family is minimal when its inclusion row is
     # constant, as in minimal-open-characterizations
-    opens = ctx.once(tp.open_masks, p, table=ctx.once(_pred_closure, p))
+    opens = ctx.once(tp.enumerate_opens, p, table=ctx.once(_pred_closure, p))
     has_minimal = bool(tp.constant_rows(tp.inclusion_rows(opens)))
     star, _ = ctx.once(PreOrder.satisfies_star, p)
     if has_minimal and star:
@@ -591,7 +591,7 @@ def _chk_union_criterion(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 def _chk_basic_no_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     out = [{"kind": "basic-open-splits", "atom": p.labels[a]}
-           for a in hm.basic_open_partition_free(p)]
+           for a in hm.split_cones(p.pred)]
     if p.n == 2 and all(p.pred[b] == 1 << b for b in range(p.n)):
         # negative control: the non-basic open {a,b} of the 2-antichain
         # must split into two opens
@@ -600,7 +600,7 @@ def _chk_basic_no_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dic
     if p.n <= HIER_MAX_N:
         h = ctx.once(hm.Hierarchy, p)
         for lv in h.build(min(ctx.cfg.depth, 2)):
-            for i in hm.level_basic_open_partition_free(lv):
+            for i in hm.split_cones(lv.sub_rows):
                 out.append({"kind": "level-basic-open-splits",
                             "level": lv.index, "element": i})
     return out
@@ -778,100 +778,99 @@ def _chk_cluster_saturation(model: sym.SymbolicPreOrder, name: str,
 class Suite:
     suite_id: str
     statement: str
-    scope: str  # "finite" or "symbolic"
     check: Callable
     max_n: int | None = None           # finite scope: carrier-size limit
     models: tuple[str, ...] = ()       # symbolic scope: model names
+
+    @property
+    def scope(self) -> str:
+        """The suite's scope: "symbolic" when it names models, else "finite"."""
+        return "symbolic" if self.models else "finite"
 
 
 _SUITE_LIST = [
     Suite("closure-idempotence",
           "rebuilding a closed relation from its own edges returns it unchanged",
-          "finite", _chk_closure_idempotent),
+          _chk_closure_idempotent),
     Suite("strict-part-laws",
           "the strict part is irreflexive and one-directional",
-          "finite", _chk_strict_laws),
+          _chk_strict_laws),
     Suite("class-vs-cone",
           "two atoms share a mutual-dependence class exactly when their cones match",
-          "finite", _chk_class_vs_cone),
+          _chk_class_vs_cone),
     Suite("cone-transitivity",
           "predecessor cones are downward closed, hence open",
-          "finite", _chk_cone_transitive),
+          _chk_cone_transitive),
     Suite("finite-star-fails",
           "on a finite carrier some atom always lacks a strict predecessor",
-          "finite", _chk_finite_star_fails),
+          _chk_finite_star_fails),
     Suite("open-family-closure",
           "unions and nonempty intersections of open sets are open",
-          "finite", _chk_open_family),
+          _chk_open_family),
     Suite("open-complement-duality",
           "a set is lower open exactly when its complement is upper open",
-          "finite", _chk_duality),
+          _chk_duality),
     Suite("minimal-open-characterizations",
           "minimality, constant cones, and constant classes coincide on opens",
-          "finite", _chk_minimal_characterizations),
+          _chk_minimal_characterizations),
     Suite("star-iff-no-minimal",
           "every atom has a strict predecessor iff no open set is minimal",
-          "finite", _chk_star_iff_no_minimal),
+          _chk_star_iff_no_minimal),
     Suite("cones-contain-minimal",
           "every finite predecessor cone contains a minimal open subset",
-          "finite", _chk_cones_contain_minimal),
+          _chk_cones_contain_minimal),
     Suite("shift-preorder-laws",
           "the shifted relation is reflexive and transitive on all subsets",
-          "finite", _chk_shift_laws),
+          _chk_shift_laws),
     Suite("shift-totality",
           "shifting preserves totality",
-          "finite", _chk_shift_total),
+          _chk_shift_total),
     Suite("shift-powerset-connection",
           "shifted cones contain the powerset, equal it on opens, and induce "
           "the inclusion topology on the open-set family",
-          "finite", _chk_connection),
+          _chk_connection),
     Suite("shifted-minimality-contrapositive",
           "a minimal open in the lifted family refutes the strict-predecessor "
           "condition on the base",
-          "finite", _chk_shift_minimal_contra),
+          _chk_shift_minimal_contra),
     Suite("hierarchy-levels",
           "levels are disjoint, nest as members, never fix, and carry rank = level",
-          "finite", _chk_hierarchy_levels, max_n=HIER_MAX_N),
+          _chk_hierarchy_levels, max_n=HIER_MAX_N),
     Suite("powerset-cone-step",
           "the submagmas of a member form a member one level up",
-          "finite", _chk_power_step, max_n=HIER_MAX_N),
+          _chk_power_step, max_n=HIER_MAX_N),
     Suite("subsets-in-m-are-open",
           "a member that is a subset of a level is an open subset of that level",
-          "finite", _chk_subsets_in_m_open, max_n=HIER_MAX_N),
+          _chk_subsets_in_m_open, max_n=HIER_MAX_N),
     Suite("limit-partition",
           "membership one step past the limit is equivalent to per-level slices "
           "being members two steps up",
-          "finite", _chk_limit_partition, max_n=HIER_MAX_N),
+          _chk_limit_partition, max_n=HIER_MAX_N),
     Suite("union-criterion",
           "union membership, the two-steps-up tier, and level homogeneity agree",
-          "finite", _chk_union_criterion, max_n=HIER_MAX_N),
+          _chk_union_criterion, max_n=HIER_MAX_N),
     Suite("basic-open-no-partition",
           "no basic open splits into two disjoint nonempty opens",
-          "finite", _chk_basic_no_partition),
+          _chk_basic_no_partition),
     Suite("magma-set-atom-trichotomy",
           "every hereditarily finite value is an atom, a magma, or a plain set",
-          "finite", _chk_trichotomy, max_n=HIER_MAX_N),
+          _chk_trichotomy, max_n=HIER_MAX_N),
     Suite("symbolic-model-axioms",
           "the symbolic models are reflexive, transitive, and minimal-free "
           "on all samples",
-          "symbolic", _chk_symbolic_axioms,
-          models=("prefix", "clustered:2")),
+          _chk_symbolic_axioms, models=("prefix", "clustered:2")),
     Suite("generator-subset-semantics",
           "generator-level inclusion matches bounded semantic inclusion",
-          "symbolic", _chk_gen_subset_semantics,
-          models=("prefix", "clustered:2")),
+          _chk_gen_subset_semantics, models=("prefix", "clustered:2")),
     Suite("shrink-strictly-descends",
           "every generated open has a proper generated subopen",
-          "symbolic", _chk_shrink_descends,
-          models=("prefix", "clustered:2")),
+          _chk_shrink_descends, models=("prefix", "clustered:2")),
     Suite("generated-opens-unbounded",
           "bounded counts of every generated open grow strictly with depth",
-          "symbolic", _chk_cones_unbounded,
-          models=("prefix",)),
+          _chk_cones_unbounded, models=("prefix",)),
     Suite("clustered-class-saturation",
           "generated opens are constant on mutual-dependence clusters",
-          "symbolic", _chk_cluster_saturation,
-          models=("clustered:3",)),
+          _chk_cluster_saturation, models=("clustered:3",)),
 ]
 
 SUITES: dict[str, Suite] = {s.suite_id: s for s in _SUITE_LIST}

@@ -11,8 +11,7 @@ import time
 from magmas import (Hierarchy, build, enumerate_opens, hf_rank,
                     minimal_opens, pr_plus, shift_leq, shifted_is_total,
                     shifted_opens_match, validate_model)
-from magmas.hierarchy import (basic_open_partition_free, find_open_partition,
-                              level_basic_open_partition_free)
+from magmas.hierarchy import find_open_partition, split_cones
 from magmas.preorder import PreOrder, bits, format_preorder
 from magmas.shifting import powerset_masks
 from magmas.symbolic import (GenOpen, binary_string_model, clustered_model,
@@ -65,7 +64,7 @@ def test_criterion_02_minimality_equivalence(models_by_size):
     violations = []
     checked = 0
     for name, p in all_models(models_by_size, ALL_SIZES):
-        opens = [d.members for d in enumerate_opens(p)]
+        opens = enumerate_opens(p)
         for x in opens:
             brute = not any(y != x and not y & ~x for y in opens)
             by_cone = all(p.predecessors(a) == x for a in bits(x))
@@ -231,7 +230,7 @@ def test_criterion_08_partition_and_trichotomy(models_by_size):
     t0 = time.perf_counter()
     violations = []
     for name, p in all_models(models_by_size, ALL_SIZES):
-        for a in basic_open_partition_free(p):
+        for a in split_cones(p.pred):
             violations.append((name, "basic open split", a))
     anti2 = build("ab")
     if find_open_partition(anti2.pred, anti2.full_mask) is None:
@@ -239,7 +238,7 @@ def test_criterion_08_partition_and_trichotomy(models_by_size):
     for name, p in all_models(models_by_size, HIER_SIZES):
         h = hierarchy_of(p)
         for lv in h.build(2):
-            if level_basic_open_partition_free(lv):
+            if split_cones(lv.sub_rows):
                 violations.append((name, "level basic open split", lv.index))
     corpus_total = 0
     for name, p in all_models(models_by_size, HIER_SIZES):

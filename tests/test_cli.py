@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from magmas import topology as tp
 from magmas.cli import main
 
 CHAIN = "atoms: a b c\na <= b\nb <= c\n"
@@ -163,6 +164,16 @@ def test_check_bad_file(capsys, tmp_path):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "check", str(tmp_path / "missing.po"))
     assert code == 2
+
+
+def test_library_index_error_is_not_bad_input(monkeypatch, capsys, chain_file):
+    # no command raises IndexError on what the user typed, so one raised
+    # inside the library is a bug and must surface, not exit 2
+    def broken(p, **kw):
+        raise IndexError("row bit past the carrier")
+    monkeypatch.setattr(tp, "enumerate_opens", broken)
+    with pytest.raises(IndexError):
+        main(["opens", chain_file])
 
 
 def test_verify_small(capsys):

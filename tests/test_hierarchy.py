@@ -4,10 +4,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from magmas import (CapExceeded, Hierarchy, MElem, Membership, PreOrder, build,
-                    enumerate_opens, hf_rank, hf_union, open_masks)
-from magmas.hierarchy import (basic_open_partition_free, find_open_partition,
-                              level_basic_open_partition_free, parse_value,
-                              render_value)
+                    enumerate_opens, hf_rank, hf_union)
+from magmas.hierarchy import find_open_partition, parse_value, render_value, split_cones
 from magmas.preorder import bits
 from magmas.topology import CARRIER_CAP, inclusion_rows
 
@@ -95,10 +93,10 @@ def test_level1_matches_open_enumeration(chain3, antichain2, twocycle):
     for p, sizes in ((chain3, 3), (antichain2, 3), (twocycle, 1)):
         lv = h_of(p).level(1)
         assert lv.index == 1 and len(lv) == sizes
-        assert list(lv.values) == [frozenset(d.labels())
-                                   for d in enumerate_opens(p)]
+        assert list(lv.values) == [frozenset(p.set_labels(s))
+                                   for s in enumerate_opens(p)]
     # seeded raw rows over n + 1 bits: unclosed, and bit n outside the
-    # carrier keeps its atom out of every level-1 set, as in open_masks
+    # carrier keeps its atom out of every level-1 set, as in enumerate_opens
     rng = random.Random("level1-raw")
     outside = 0
     for _ in range(300):
@@ -106,7 +104,7 @@ def test_level1_matches_open_enumeration(chain3, antichain2, twocycle):
         p = PreOrder(tuple("abcde"[:n]), tuple(rng.getrandbits(n + 1) for _ in range(n)))
         outside += any(row >> n for row in p.pred)
         lv = h_of(p).level(1)
-        assert lv.masks == tuple(open_masks(p)), p
+        assert lv.masks == tuple(enumerate_opens(p)), p
         assert list(lv.values) == [frozenset(p.set_labels(m)) for m in lv.masks]
     assert outside > 200
 
@@ -549,7 +547,7 @@ def test_union_criteria_agree_everywhere(models_by_size):
 def test_basic_opens_never_partition(models_by_size):
     for n in (1, 2, 3):
         for p in models_by_size[n]:
-            assert basic_open_partition_free(p) == []
+            assert split_cones(p.pred) == []
 
 
 def test_level_basic_opens_never_partition(chain3, antichain2, antichain3):
@@ -557,7 +555,7 @@ def test_level_basic_opens_never_partition(chain3, antichain2, antichain3):
     for p in (chain3, antichain2, antichain3):
         h = h_of(p)
         for lv in h.build(2):
-            assert level_basic_open_partition_free(lv) == []
+            assert split_cones(lv.sub_rows) == []
 
 
 def test_antichain_negative_control(antichain2):
@@ -565,6 +563,12 @@ def test_antichain_negative_control(antichain2):
     assert split is not None
     y1, y2 = split
     assert y1 | y2 == antichain2.full_mask and not y1 & y2
+
+
+def test_split_cones_finds_a_cone_that_splits():
+    # raw rows: element 2's row {0,1} is open and disconnected, so it
+    # splits; the singleton rows of 0 and 1 never do
+    assert split_cones((0b001, 0b010, 0b011)) == [2]
 
 
 def test_chain_basic_open_has_no_partition(chain3):

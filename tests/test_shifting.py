@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import magmas
 from magmas import (CapExceeded, build, check_connection, enumerate_opens,
-                    open_masks, pr_plus, preorder_of_opens, shift_leq,
+                    format_atom_set, pr_plus, preorder_of_opens, shift_leq,
                     shifted_is_total, shifted_opens_match)
 from magmas.preorder import PreOrder, bits
 from magmas.shifting import powerset_masks
@@ -94,7 +94,7 @@ def test_pr_plus_matches_literal_filter_on_raw_rows():
 
 
 # every entry point that walks all 2^n subsets stops at CARRIER_CAP
-@pytest.mark.parametrize("name", ["open_masks", "enumerate_opens", "pr_plus",
+@pytest.mark.parametrize("name", ["enumerate_opens", "preorder_of_opens", "pr_plus",
                                   "check_connection", "shifted_opens_match",
                                   "shifted_is_total"])
 def test_subset_walk_cap(name):
@@ -184,7 +184,7 @@ def test_shifted_opens_match_on_raw_rows():
 
 def test_shifted_opens_match_on_five_antichain():
     p = build("abcde")
-    assert len(open_masks(p)) == 31  # 2^31 candidate sets; no walk over them
+    assert len(enumerate_opens(p)) == 31  # 2^31 candidate sets; no walk over them
     assert shifted_opens_match(p)
 
 
@@ -197,9 +197,9 @@ def test_preorder_of_opens_structure(chain3):
 
 
 def test_preorder_of_opens_labels_and_rows(models_by_size):
-    # labels render each open as its DownSet does; rows are plain inclusion
+    # labels render each open mask; rows are plain inclusion
     for n in (1, 2, 3, 4):
         for p in models_by_size[n]:
             lo = preorder_of_opens(p)
-            assert lo.labels == tuple(repr(d) for d in enumerate_opens(p))
-            assert lo.pred == inclusion_rows(open_masks(p))
+            assert lo.labels == tuple(format_atom_set(p, s) for s in enumerate_opens(p))
+            assert lo.pred == inclusion_rows(enumerate_opens(p))

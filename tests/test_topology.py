@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from magmas import (CapExceeded, DownSet, build, down_closure, enumerate_opens,
-                    is_lower_open, is_minimal_open, is_saturated, minimal_opens,
-                    open_masks)
+from magmas import (CapExceeded, build, down_closure, enumerate_opens, is_lower_open,
+                    is_minimal_open, is_saturated, minimal_opens)
 from magmas.preorder import PreOrder, bits, enumerate_preorders, mask_order
 from magmas.topology import (closure_table, constant_rows, downset_masks, duality_failures,
                              inclusion_rows, subset_families)
@@ -55,11 +54,11 @@ def test_down_closure(chain3):
 
 
 def test_enumerate_opens_examples(chain3, antichain2, twocycle):
-    assert [d.labels() for d in enumerate_opens(chain3)] == [
+    assert [chain3.set_labels(s) for s in enumerate_opens(chain3)] == [
         ["a"], ["a", "b"], ["a", "b", "c"]]
-    assert [frozenset(d.labels()) for d in enumerate_opens(antichain2)] == [
+    assert [labelset(antichain2, s) for s in enumerate_opens(antichain2)] == [
         frozenset("a"), frozenset("b"), frozenset("ab")]
-    assert [d.labels() for d in enumerate_opens(twocycle)] == [["a", "b"]]
+    assert [twocycle.set_labels(s) for s in enumerate_opens(twocycle)] == [["a", "b"]]
 
 
 def test_enumerate_opens_matches_pair_oracle(models_by_size):
@@ -68,15 +67,14 @@ def test_enumerate_opens_matches_pair_oracle(models_by_size):
             rel = closure_pairs(p.labels, {
                 (p.labels[a], p.labels[b])
                 for b in range(p.n) for a in bits(p.pred[b])})
-            assert {labelset(p, d.members) for d in enumerate_opens(p)} == \
+            assert {labelset(p, s) for s in enumerate_opens(p)} == \
                 opens_of(rel, p.labels)
 
 
 def test_enumerate_opens_canonical_order(models_by_size):
     for p in models_by_size[3]:
-        keys = [(d.members.bit_count(), d.members) for d in enumerate_opens(p)]
+        keys = [(s.bit_count(), s) for s in enumerate_opens(p)]
         assert keys == sorted(keys)
-        assert open_masks(p) == [m for _, m in keys]
 
 
 def test_opens_cap():
@@ -84,19 +82,7 @@ def test_opens_cap():
     with pytest.raises(CapExceeded):
         enumerate_opens(wide)
     with pytest.raises(CapExceeded):
-        open_masks(wide)
-    with pytest.raises(CapExceeded):
         duality_failures(wide)
-
-
-def test_downset_validation(chain3):
-    with pytest.raises(ValueError, match="nonempty"):
-        DownSet(chain3, 0)
-    with pytest.raises(ValueError, match="downward"):
-        DownSet(chain3, chain3.atom_set("b"))
-    with pytest.raises(ValueError, match="carrier"):
-        DownSet(chain3, 1 << 5)
-    assert 0 in DownSet(chain3, chain3.atom_set("ab"))
 
 
 def test_minimality_examples(chain3, twocycle):
@@ -106,29 +92,26 @@ def test_minimality_examples(chain3, twocycle):
 
 
 def test_minimal_opens_examples(chain3, antichain2, twocycle):
-    assert [d.labels() for d in minimal_opens(chain3)] == [["a"]]
-    assert [d.labels() for d in minimal_opens(antichain2)] == [["a"], ["b"]]
-    assert [d.labels() for d in minimal_opens(twocycle)] == [["a", "b"]]
+    assert [chain3.set_labels(s) for s in minimal_opens(chain3)] == [["a"]]
+    assert [antichain2.set_labels(s) for s in minimal_opens(antichain2)] == [["a"], ["b"]]
+    assert [twocycle.set_labels(s) for s in minimal_opens(twocycle)] == [["a", "b"]]
 
 
 def test_minimality_matches_brute_force(models_by_size):
     for n in (1, 2, 3):
         for p in models_by_size[n]:
-            opens = enumerate_opens(p)
-            masks = [d.members for d in opens]
-            for d in opens:
-                brute = not any(m != d.members and not m & ~d.members
-                                for m in masks)
-                assert is_minimal_open(p, d) == brute
+            masks = enumerate_opens(p)
+            for s in masks:
+                brute = not any(m != s and not m & ~s for m in masks)
+                assert is_minimal_open(p, s) == brute
 
 
 def test_minimal_opens_pointwise_matches_filtered_enumeration(models_by_size):
     for n in (1, 2, 3, 4):
         for p in models_by_size[n]:
             opens = enumerate_opens(p)
-            brute = [d for d in opens
-                     if not any(e.members != d.members and not e.members & ~d.members
-                                for e in opens)]
+            brute = [s for s in opens
+                     if not any(m != s and not m & ~s for m in opens)]
             assert minimal_opens(p) == brute
 
 
@@ -142,7 +125,7 @@ def test_minimal_opens_match_literal_filter_on_raw_rows():
                 and all(rows[a] == s for a in range(p.n) if s >> a & 1)]
         want.sort(key=lambda s: (s.bit_count(), s))
         assert constant_rows(rows) == set(want), p
-        assert [d.members for d in minimal_opens(p)] == want, p
+        assert minimal_opens(p) == want, p
         found += bool(want)
         wide += any(s.bit_count() > 1 for s in want)
     assert found and wide
@@ -151,7 +134,7 @@ def test_minimal_opens_match_literal_filter_on_raw_rows():
 def test_minimal_opens_past_the_open_enumeration_cap():
     # 13 atoms is over CARRIER_CAP; the pointwise search needs no enumeration
     p = build([f"x{i}" for i in range(13)], [("x0", "x1"), ("x1", "x0"), ("x1", "x2")])
-    assert [d.labels() for d in minimal_opens(p)] == (
+    assert [p.set_labels(s) for s in minimal_opens(p)] == (
         [[f"x{i}"] for i in range(3, 13)] + [["x0", "x1"]])
 
 
@@ -163,7 +146,7 @@ def test_minimal_opens_never_empty(models_by_size):
 
 def test_every_cone_contains_a_minimal_open(models_by_size):
     for p in models_by_size[3]:
-        mins = [d.members for d in minimal_opens(p)]
+        mins = minimal_opens(p)
         for a in range(p.n):
             cone = p.predecessors(a)
             assert any(not m & ~cone for m in mins)
@@ -171,7 +154,7 @@ def test_every_cone_contains_a_minimal_open(models_by_size):
 
 def test_union_and_intersection_stay_open(models_by_size):
     for p in models_by_size[3]:
-        masks = [d.members for d in enumerate_opens(p)]
+        masks = enumerate_opens(p)
         for x in masks:
             for y in masks:
                 assert is_lower_open(p, x | y)
@@ -211,7 +194,7 @@ def test_open_masks_match_the_subset_walk():
     raw = list(raw_models("open-masks", 1000))
     outside = 0
     for p in models + raw:
-        assert open_masks(p) == sorted(downset_masks(p.pred, p.n), key=mask_order), p
+        assert enumerate_opens(p) == sorted(downset_masks(p.pred, p.n), key=mask_order), p
         outside += any(row >> p.n for row in p.pred)
     assert outside > 300
 
@@ -243,8 +226,8 @@ def test_saturation(twocycle, models_by_size):
     assert not is_saturated(twocycle, twocycle.atom_set("a"))
     assert is_saturated(twocycle, 0)
     for p in models_by_size[3]:
-        for d in enumerate_opens(p):
-            assert is_saturated(p, d.members)
+        for s in enumerate_opens(p):
+            assert is_saturated(p, s)
 
 
 def test_oracle_agrees_with_itself_on_minimality(chain3):

@@ -337,10 +337,10 @@ def faulty_closure_table(verdicts):
 
 
 def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
-    opens = tp.open_masks(antichain2)  # before the closure table is broken
+    opens = tp.enumerate_opens(antichain2)  # before the closure table is broken
     full = antichain2.full_mask
     verdicts = [s != full and tp.is_lower_open(antichain2, s) for s in range(1 << 2)]
-    monkeypatch.setattr(tp, "open_masks", lambda p, **kw: opens)
+    monkeypatch.setattr(tp, "enumerate_opens", lambda p, **kw: opens)
     monkeypatch.setattr(tp, "closure_table", faulty_closure_table(verdicts))
     witnesses = _chk_open_family(antichain2, "n=2#0", RunContext(SuiteConfig()))
     assert {"kind": "union", "x": "{a}", "y": "{b}"} in witnesses
@@ -360,7 +360,7 @@ def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
             opens = sorted((s for s in range(1, 1 << n) if table[s] and rng.random() >= 0.2),
                            key=lambda s: (s.bit_count(), s))
             monkeypatch.setattr(tp, "closure_table", faulty_closure_table(table))
-            monkeypatch.setattr(tp, "open_masks", lambda q, o=opens, **kw: o)
+            monkeypatch.setattr(tp, "enumerate_opens", lambda q, o=opens, **kw: o)
             want = []
             for kind, masks in open_family_witnesses(opens, table):
                 if kind != "triple":
@@ -392,7 +392,7 @@ def test_open_family_pairs_decide_larger_families(monkeypatch, models_by_size):
         witnesses = open_family_witnesses(opens, is_open)
         pairs = [(kind, masks) for kind, masks in witnesses if kind != "triple"]
         assert any(kind == "triple" for kind, _ in witnesses) == bool(pairs), p
-        monkeypatch.setattr(tp, "open_masks", lambda q, o=opens, **kw: o)
+        monkeypatch.setattr(tp, "enumerate_opens", lambda q, o=opens, **kw: o)
         got = _chk_open_family(p, "m", ctx)
         assert got == [{"kind": kind, "x": format_atom_set(p, x), "y": format_atom_set(p, y)}
                        for kind, (x, y) in pairs], p
@@ -401,16 +401,16 @@ def test_open_family_pairs_decide_larger_families(monkeypatch, models_by_size):
 
 
 def test_non_open_mask_in_open_masks_is_caught(monkeypatch):
-    # the checks take bare masks, with no DownSet validation on the way;
+    # the checks take bare masks, with no validation on the way;
     # {b} is not open in the chain a <= b
     chain = (0b01, 0b11)
-    real = tp.open_masks
+    real = tp.enumerate_opens
 
     def injected(p, **kw):
         masks = real(p, **kw)
         return masks + [0b10] if p.pred == chain else masks
 
-    monkeypatch.setattr(tp, "open_masks", injected)
+    monkeypatch.setattr(tp, "enumerate_opens", injected)
     report = run_suite(SuiteConfig(suites=("open-family-closure",), max_size=2))
     assert report.failures
     assert {cx.rows for cx in report.failures} == {chain}
@@ -485,12 +485,12 @@ def test_minimal_characterizations_match_literal_forms(monkeypatch, models_by_si
     cases += [(p, True) for p in preorders[:34] + raw[:300]]
     failing = []  # per uninjected case
     parted = 0
-    real_open_masks = tp.open_masks
+    real_opens = tp.enumerate_opens
     for p, inject in cases:
         rel = {(names[a], p.labels[b]) for b in range(p.n) for a in bits(p.pred[b])}
         opens = open_sets_of(rel, p.labels)
         family = [p.atom_set(x) for x in opens]
-        assert sorted(family) == sorted(real_open_masks(p))
+        assert sorted(family) == sorted(real_opens(p))
         if inject:
             family += [s for s in rng.sample(range(1, 1 << p.n), min(3, (1 << p.n) - 1))
                        if s not in family]
@@ -503,7 +503,7 @@ def test_minimal_characterizations_match_literal_forms(monkeypatch, models_by_si
             if not brute == cone == klass == lib:
                 want.append({"open": format_atom_set(p, x), "brute": brute,
                              "cone": cone, "class": klass, "library": lib})
-        monkeypatch.setattr(tp, "open_masks", lambda q, f=family, **kw: f)
+        monkeypatch.setattr(tp, "enumerate_opens", lambda q, f=family, **kw: f)
         got = _chk_minimal_characterizations(p, "m", RunContext(SuiteConfig()))
         assert got == want, p
         if inject:
@@ -690,8 +690,8 @@ def test_patched_open_masks_reaches_the_next_run(monkeypatch):
     # would hand the second run the first run's open list
     cfg = SuiteConfig(suites=("open-family-closure",), max_size=2)
     assert run_suite(cfg).passed
-    real = tp.open_masks
-    monkeypatch.setattr(tp, "open_masks",
+    real = tp.enumerate_opens
+    monkeypatch.setattr(tp, "enumerate_opens",
                         lambda p, **kw: real(p, **kw) + [0b10] if p.pred == (0b01, 0b11)
                         else real(p, **kw))
     assert {cx.rows for cx in run_suite(cfg).failures} == {(0b01, 0b11)}
@@ -723,14 +723,14 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
         fns.add(fn)
         contexts.add(self)
         return out
-    real_opens = tp.open_masks
+    real_opens = tp.enumerate_opens
     opened = []
 
     def opens(p, **kw):
         opened.append(p)
         return real_opens(p, **kw)
     monkeypatch.setattr(RunContext, "once", spy)
-    monkeypatch.setattr(tp, "open_masks", opens)
+    monkeypatch.setattr(tp, "enumerate_opens", opens)
     assert run_suite(SuiteConfig(suites=MEMO_SUITES, max_size=4)).passed
     assert len(opened) == 389
     assert len(fns) == 4
@@ -765,13 +765,13 @@ def test_models_are_streamed_block_by_block(monkeypatch):
     def hook(p):
         pulled.append(p)
         return p
-    real_opens = tp.open_masks
+    real_opens = tp.enumerate_opens
     counts = []
 
     def opens(p, **kw):
         counts.append(len(pulled))
         return real_opens(p, **kw)
-    monkeypatch.setattr(tp, "open_masks", opens)
+    monkeypatch.setattr(tp, "enumerate_opens", opens)
     cfg = SuiteConfig(suites=("open-family-closure",), max_size=4)
     assert run_suite(cfg, _model_hook=hook).passed
     assert len(counts) == len(pulled) == 389
