@@ -166,10 +166,10 @@ MUTANTS = (
      "m = union & ~mi",
      "m = union & mi",
      "tests/test_topology.py"),
-    # the shifted-cone table read at the whole closure, not its carrier part
+    # the shifted cone read at the whole closure, not its carrier part
     ("src/magmas/shifting.py",
-     "cone = cones[c & full]",
-     "cone = cones[c]",
+     "cone = power[c & full]",
+     "cone = power[c]",
      "tests/test_shifting.py"),
     # the connection sweep building its own closure table beside the shared one
     ("src/magmas/shifting.py",
@@ -212,6 +212,11 @@ MUTANTS = (
      "check_carrier_cap(p)\n    n, full = p.n, p.full_mask",
      "n, full = p.n, p.full_mask",
      "tests/test_topology.py"),
+    # a level-1 value with a member that is no atom label taken as open
+    ("src/magmas/hierarchy.py",
+     "except KeyError:  # a member that is not an atom label\n            return False",
+     "except KeyError:  # a member that is not an atom label\n            return True",
+     "tests/test_hierarchy.py"),
     # level 1 grown without its carrier cap
     ("src/magmas/hierarchy.py",
      "                check_carrier_cap(self.base)\n",
@@ -231,6 +236,11 @@ MUTANTS = (
     ("src/magmas/verify.py",
      "    if out := _rows_outside_carrier(p):\n        return out\n",
      "    out = []\n",
+     "tests/test_verify.py"),
+    # the text report's config printing the suites tuple, not its join
+    ("src/magmas/verify.py",
+     'config = {**asdict(cfg), "suites": ",".join(cfg.suites)}',
+     "config = asdict(cfg)",
      "tests/test_verify.py"),
 )
 

@@ -312,16 +312,10 @@ class Hierarchy:
         return ok
 
     def _member1(self, v: frozenset) -> bool:
-        mask = 0
-        for y in v:
-            if not isinstance(y, str):
-                return False
-            try:
-                i = self.base.atom(y)
-            except KeyError:
-                return False
-            mask |= 1 << i
-        return is_lower_open(self.base, mask)
+        try:
+            return is_lower_open(self.base, self.base.atom_set(v))
+        except KeyError:  # a member that is not an atom label
+            return False
 
     def _cone(self, y: frozenset, n: int) -> frozenset:
         """The level-n elements included in y (y itself a level-n value)."""

@@ -10,18 +10,18 @@ sweep per model over all 2^n subsets, each family of subsets held as one
 2^n-bit int, decides both halves of that claim: :func:`check_connection`
 compares every subset's shifted cone with its powerset, and
 :func:`shifted_opens_match` compares, on the open-set family, each open's
-shifted row with its inclusion row. The sweep reads each shifted cone
-from a table indexed by the carrier part of a closure; that table, like
-``topology.subset_families``, depends on n alone and is built once per
-carrier size. That sweep and
-:func:`shifted_is_total` walk every subset, and :func:`pr_plus` can list
-all of them, so ``topology.CARRIER_CAP`` caps the carrier of all three.
+shifted row with its inclusion row. The sweep reads both sides of the
+first comparison from ``topology.subset_families``: the powerset of x is
+its entry at x, and the shifted cone of x is its entry at the carrier
+part of x's closure, the same subsets :func:`pr_plus` lists. That sweep
+and :func:`shifted_is_total` walk every subset, and :func:`pr_plus` can
+list all of them, so ``topology.CARRIER_CAP`` caps the carrier of all
+three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .preorder import AtomSet, PreOrder, format_atom_set, mask_order
 from .topology import (check_carrier_cap, closure_table, down_closure, enumerate_opens,
@@ -67,29 +67,6 @@ class ConnectionCheck:
         return self.subset_dir and self.equality_when_open
 
 
-@lru_cache(maxsize=None)
-def _shifted_cones(n: int) -> tuple[int, ...]:
-    """Entry m is the shifted cone of any subset whose closure meets the
-    carrier in m: the AND of the "avoids b" families over the atoms b
-    outside m, as a family of subsets.
-
-    Atoms past the carrier never enter the AND, so only ``c & full``
-    matters, and the table depends on n alone: it is built once per
-    carrier size and shared.
-    """
-    power = subset_families(n)
-    full = (1 << n) - 1
-    avoid = [power[full ^ 1 << b] for b in range(n)]  # the subsets without atom b
-    table = []
-    for m in range(1 << n):
-        cone = power[full]
-        for b in range(n):
-            if not m >> b & 1:
-                cone &= avoid[b]
-        table.append(cone)
-    return tuple(table)
-
-
 def _connection_sweep(p: PreOrder, *, table: list[AtomSet] | None = None
                       ) -> tuple[list[tuple[AtomSet, ConnectionCheck]], bool]:
     """The failing subsets of :func:`check_connection` and the verdict of
@@ -103,14 +80,13 @@ def _connection_sweep(p: PreOrder, *, table: list[AtomSet] | None = None
     n, full = p.n, p.full_mask
     closure = closure_table(p.pred, n) if table is None else table
     power = subset_families(n)
-    cones = _shifted_cones(n)
     failing = []
     opens = 0  # the open subsets met so far, as one family
     opens_match = True
     # x = 0 always passes: its closure is empty, so its cone is power[0]
     for x in range(1, 1 << n):
         c, px = closure[x], power[x]
-        cone = cones[c & full]
+        cone = power[c & full]
         subset_dir = not px & ~cone
         is_open = not c & ~x
         equality_when_open = not is_open or px == cone
@@ -130,15 +106,13 @@ def check_connection(p: PreOrder) -> list[tuple[AtomSet, ConnectionCheck]]:
 
     One sweep over all 2^n subsets in increasing order. A family of
     subsets is one 2^n-bit int whose bit y stands for subset y (Knuth's
-    broadword set families, TAOCP 4A 7.1.3). The two sides are built
-    apart:
+    broadword set families, TAOCP 4A 7.1.3). Both sides are entries of
+    :func:`~magmas.topology.subset_families`:
 
-    - the cone of x from the definition of the shifted relation: y is
-      below x exactly when y avoids every atom outside x's closure, so
-      the cone is the AND of the "avoids b" families over those atoms;
-      x depends on the carrier part of its closure alone, so the cone is
-      read from a table of these ANDs built once per carrier size;
-    - the powerset of x from :func:`~magmas.topology.subset_families`.
+    - the shifted cone of x at the carrier part of x's closure: y is
+      below x exactly when y lies inside that set, so the cone holds the
+      subsets that :func:`pr_plus` lists;
+    - the powerset of x at x itself.
 
     Returns each failing x with its record, in increasing order of x.
     """

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from typing import Callable
 
@@ -70,7 +70,7 @@ class SuiteConfig:
             )
         unknown = [s for s in self.suites if s != "all" and s not in SUITES]
         if unknown:
-            raise ConfigError(f"unknown suites: {', '.join(unknown)}")
+            raise ConfigError(f"unknown suites: {', '.join(map(repr, unknown))}")
 
     def selected(self) -> tuple[str, ...]:
         if "all" in self.suites:
@@ -94,16 +94,7 @@ class Counterexample:
     config: dict = field(default_factory=dict)  # RECORDED_CONFIG values
 
     def to_blob(self) -> dict:
-        return {
-            "suite": self.suite,
-            "model": self.model,
-            "model_text": self.model_text,
-            "labels": list(self.labels),
-            "rows": list(self.rows),
-            "witness": self.witness,
-            "message": self.message,
-            "config": dict(self.config),
-        }
+        return {**asdict(self), "labels": list(self.labels), "rows": list(self.rows)}
 
     @staticmethod
     def from_blob(blob: dict) -> "Counterexample":
@@ -149,7 +140,7 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.skipped or not self.failures
+        return self.status != "fail"
 
     @property
     def status(self) -> str:
@@ -1008,15 +999,9 @@ def replay(blob: dict | Counterexample, cfg: SuiteConfig | None = None) -> bool:
 
 def render_report(report: Report, *, timing: bool = True) -> str:
     cfg = report.config
-    lines = [
-        "magmas verification report",
-        "config:",
-        f"  suites: {','.join(cfg.suites)}",
-        f"  max_size: {cfg.max_size}",
-        f"  depth: {cfg.depth}",
-        f"  symbolic_depth: {cfg.symbolic_depth}",
-        f"  seed: {cfg.seed}",
-    ]
+    config = {**asdict(cfg), "suites": ",".join(cfg.suites)}
+    lines = ["magmas verification report", "config:",
+             *(f"  {k}: {v}" for k, v in config.items())]
     ran = [r for r in report.results if not r.skipped]
     statuses = [r.status for r in ran]
     lines += [
@@ -1057,13 +1042,7 @@ def render_report(report: Report, *, timing: bool = True) -> str:
 
 def report_to_json(report: Report) -> dict:
     return {
-        "config": {
-            "suites": list(report.config.suites),
-            "max_size": report.config.max_size,
-            "depth": report.config.depth,
-            "symbolic_depth": report.config.symbolic_depth,
-            "seed": report.config.seed,
-        },
+        "config": {**asdict(report.config), "suites": list(report.config.suites)},
         "passed": report.passed,
         "results": [
             {

@@ -200,3 +200,8 @@ def test_verify_bad_config(capsys):
     code, _, err = run(capsys, "verify", "--suites", "bogus")
     assert code == 2 and "unknown suites" in err
 
+
+def test_verify_names_an_empty_suite(capsys):
+    # a trailing comma leaves an empty suite name, shown quoted
+    code, _, err = run(capsys, "verify", "--suites", "closure-idempotence,")
+    assert code == 2 and "unknown suites: ''" in err

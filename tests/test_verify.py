@@ -22,6 +22,13 @@ from oracles import (mask_is_open, minimal_characterizations_of, open_family_wit
 
 GOLDEN = Path(__file__).parent / "golden" / "report_max2.txt"
 GOLDEN_MAX4 = Path(__file__).parent / "golden" / "report_max4.txt"
+GOLDEN_JSON = Path(__file__).parent / "golden" / "report_max2.json"
+GOLDEN_BLOB = Path(__file__).parent / "golden" / "counterexample_break_closure.json"
+
+
+def dump(blob):
+    """JSON as `magmas verify --format json` writes it, with its last newline."""
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n"
 
 
 def strip_timing(text):
@@ -96,6 +103,10 @@ def test_report_matches_golden(small_report):
     assert text == GOLDEN.read_text()
 
 
+def test_json_report_matches_golden(small_report):
+    assert dump(report_to_json(small_report)) == GOLDEN_JSON.read_text()
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(max_size=6))
@@ -116,6 +127,7 @@ def test_injected_fault_fails_with_counterexample():
     assert cx.witness["brute"] != cx.witness["cone"]
     assert "atoms:" in cx.model_text  # renders as feedable input
     assert cx.rows  # raw relation for exact replay
+    assert dump(cx.to_blob()) == GOLDEN_BLOB.read_text()
 
 
 def test_rows_outside_the_carrier_fail_instead_of_raising():
