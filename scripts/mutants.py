@@ -242,6 +242,38 @@ MUTANTS = (
      'config = {**asdict(cfg), "suites": ",".join(cfg.suites)}',
      "config = asdict(cfg)",
      "tests/test_verify.py"),
+    # the value parser accepting trailing input
+    ("src/magmas/hierarchy.py",
+     "    if t:\n        raise ValueError(f\"trailing input",
+     "    if False:\n        raise ValueError(f\"trailing input",
+     "tests/test_hierarchy.py"),
+    # a limit slice tested at its own level, not one step up
+    ("src/magmas/hierarchy.py",
+     "self.member_level(frozenset(slices[k]), k + 1)",
+     "self.member_level(frozenset(slices[k]), k)",
+     "tests/test_hierarchy.py"),
+    # the config guards against one string and an empty selection, removed
+    ("src/magmas/verify.py",
+     "        if isinstance(self.suites, str):\n",
+     "        if False:\n",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "        if not self.suites:\n",
+     "        if False:\n",
+     "tests/test_verify.py"),
+    # replay's guards against a blob no run could produce, removed
+    ("src/magmas/verify.py",
+     "            if not isinstance(blob, dict):\n",
+     "            if False:\n",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "        if len(cx.labels) > limit:\n",
+     "        if False:\n",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "        if cx.model not in suite.models:\n",
+     "        if False:\n",
+     "tests/test_verify.py"),
 )
 
 

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-size", type=int, default=SuiteConfig.max_size)
     sp.add_argument("--depth", type=int, default=SuiteConfig.depth)
     sp.add_argument("--symbolic-depth", type=int, default=SuiteConfig.symbolic_depth)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=SuiteConfig.seed)
     sp.add_argument("--out", default=None, help="write the report to a file")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(fn=_cmd_verify)

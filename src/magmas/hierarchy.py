@@ -16,6 +16,7 @@ undecided, level n) are shared instances.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
@@ -71,49 +72,41 @@ def render_value(v: HF) -> str:
 
 
 def parse_value(text: str) -> HF:
-    """Parse a nested-brace literal like ``{{a},{a,b}}`` into an HF value."""
-    pos = 0
+    """Parse a nested-brace literal like ``{{a},{a,b}}`` into an HF value.
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos] in " \t\n":
-            pos += 1
+    A value is a label, ``{}``, or ``{`` value (``,`` value)* ``}``. The
+    tokens are braces, commas and labels; blanks (space, tab, newline)
+    only separate them.
+    """
+    tokens = re.finditer(r"[{},]|[^{}, \t\n]+", text)
 
-    def value() -> HF:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ValueError("unexpected end of value literal")
-        if text[pos] == "{":
-            pos += 1
-            items = []
-            skip_ws()
-            if pos < len(text) and text[pos] == "}":
-                pos += 1
-                return frozenset()
-            while True:
-                items.append(value())
-                skip_ws()
-                if pos >= len(text):
-                    raise ValueError("unbalanced braces in value literal")
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == "}":
-                    pos += 1
-                    return frozenset(items)
-                raise ValueError(f"unexpected character {text[pos]!r} at {pos}")
-        start = pos
-        while pos < len(text) and text[pos] not in "{},  \t\n":
-            pos += 1
-        if start == pos:
-            raise ValueError(f"expected a label at position {pos}")
-        return text[start:pos]
+    def take() -> tuple[str, int]:
+        """The next token and its position; ``""`` at the end."""
+        tok = next(tokens, None)
+        return (tok[0], tok.start()) if tok else ("", len(text))
 
-    v = value()
-    skip_ws()
-    if pos != len(text):
-        raise ValueError(f"trailing input after value literal: {text[pos:]!r}")
+    def value(t: str, at: int) -> HF:
+        if t in ("", ",", "}"):
+            raise ValueError(f"expected a value at position {at}")
+        if t != "{":
+            return t
+        t, at = take()
+        if t == "}":
+            return frozenset()
+        items = []
+        while True:
+            items.append(value(t, at))
+            t, at = take()
+            if t == "}":
+                return frozenset(items)
+            if t != ",":
+                raise ValueError(f"expected ',' or '}}' at position {at}")
+            t, at = take()
+
+    v = value(*take())
+    t, at = take()
+    if t:
+        raise ValueError(f"trailing input at position {at}: {text[at:]!r}")
     return v
 
 
@@ -128,14 +121,13 @@ class MElem(NamedTuple):
     level: int
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class HierarchyLevel:
     """One materialized level: elements as masks over the tier below."""
 
-    def __init__(self, index: int, masks: tuple[AtomSet, ...],
-                 values: tuple[frozenset, ...]):
-        self.index = index
-        self.masks = masks
-        self.values = values
+    index: int
+    masks: tuple[AtomSet, ...]
+    values: tuple[frozenset, ...]
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -351,22 +343,21 @@ class Hierarchy:
         n = self.finite_level_of(v, bound)
         if n is not None:
             return _at_level(n)
-        member_levels: dict[frozenset, int] = {}
+        slices: dict[int, list] = {}  # level -> the members at that level
         for y in v:
             if not isinstance(y, frozenset):
                 return _OUTSIDE
             ly = self.finite_level_of(y, bound)
             if ly is None:
                 return _OUTSIDE if self.rank(y) <= bound else _UNDECIDED
-            member_levels[y] = ly
-        present = sorted(set(member_levels.values()))
+            slices.setdefault(ly, []).append(y)
+        present = sorted(slices)
         if len(present) < 2:
             # one slice: finite membership was already refuted up to the
             # bound; past it we refuse to guess
             return _OUTSIDE if present[0] + 1 <= bound else _UNDECIDED
         for k in present:
-            slice_k = frozenset(y for y, ly in member_levels.items() if ly == k)
-            if not self.member_level(slice_k, k + 1):
+            if not self.member_level(frozenset(slices[k]), k + 1):
                 return _OUTSIDE
         return Membership("limit", slice_levels=tuple(present))
 
@@ -407,14 +398,9 @@ class Hierarchy:
     def _criterion_unmixed(self, v: HF, mem: Membership, bound: int) -> bool:
         if not mem.in_m or mem.kind == "level" and mem.level == 1:
             return False
-        member_levels = []
-        for y in v:
-            ly = self.finite_level_of(y, bound)
-            if ly is None:
-                return False
-            member_levels.append(ly)
-        return (all(ly == 1 for ly in member_levels)
-                or all(ly >= 2 for ly in member_levels))
+        # v is in M within bound, so each member has a finite level within it
+        levels = [self.finite_level_of(y, bound) for y in v]
+        return all(ly == 1 for ly in levels) or all(ly >= 2 for ly in levels)
 
     # --- reformulated magma principles ---------------------------------------
 

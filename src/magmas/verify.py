@@ -68,6 +68,11 @@ class SuiteConfig:
             raise ConfigError(
                 f"symbolic_depth must be at least 3, got {self.symbolic_depth}"
             )
+        if isinstance(self.suites, str):
+            raise ConfigError(f"suites must be a tuple of suite ids, not the string "
+                              f"{self.suites!r}")
+        if not self.suites:
+            raise ConfigError("no suites selected")
         unknown = [s for s in self.suites if s != "all" and s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(map(repr, unknown))}")
@@ -99,6 +104,8 @@ class Counterexample:
     @staticmethod
     def from_blob(blob: dict) -> "Counterexample":
         try:
+            if not isinstance(blob, dict):
+                raise TypeError(f"not a dict: {blob!r}")
             config = dict(blob.get("config", {}))
             if (set(config) - set(RECORDED_CONFIG)
                     or not all(type(v) is int for v in config.values())):
@@ -430,12 +437,8 @@ def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
         for i, cone in enumerate(rows):
             if cone == 0:
                 out.append({"kind": "empty-cone", "level": lv.index, "element": i})
-                continue
-            for j in bits(cone):
-                if rows[j] & ~cone:
-                    out.append({"kind": "cone-not-open", "level": lv.index,
-                                "element": i})
-                    break
+            elif tp.row_union(rows, cone) & ~cone:
+                out.append({"kind": "cone-not-open", "level": lv.index, "element": i})
         for i, v in enumerate(lv.values):
             pe = h.power_element(hm.MElem(v, lv.index))
             expected = frozenset(lv.values[j] for j in bits(rows[i]))
@@ -470,18 +473,12 @@ def _chk_subsets_in_m_open(p: PreOrder, name: str, ctx: RunContext) -> list[dict
     for lv in levels[:max(1, depth - 1)]:
         vals = lv.values
         k = len(vals)
-        if k <= 10:
-            candidates = [
-                frozenset(vals[i] for i in bits(mask))
-                for mask in range(1, 1 << k)
-            ]
-        else:
-            candidates = []
-            for _ in range(150):
-                mask = rng.randrange(1, 1 << k)
-                candidates.append(frozenset(vals[i] for i in bits(mask)))
-            if lv.index + 1 <= depth:
-                candidates.extend(levels[lv.index].values)
+        masks = (range(1, 1 << k) if k <= 10
+                 else [rng.randrange(1, 1 << k) for _ in range(150)])
+        candidates = [frozenset(vals[i] for i in bits(m)) for m in masks]
+        if k > 10 and lv.index + 1 <= depth:
+            # a small level lists every subset, the next level among them
+            candidates.extend(levels[lv.index].values)
         for v in candidates:
             mem = h.membership(v, depth + 1)
             if mem.in_m and not h.member_level(v, lv.index + 1):
@@ -505,7 +502,7 @@ def _mixed_family(h: hm.Hierarchy, depth: int, rng: random.Random,
                 # union of inclusion cones: slice-open by construction
                 tips = rng.sample(vals, k=min(len(vals), rng.randint(1, 2)))
                 for t in tips:
-                    parts.update(h._cone(t, n))
+                    parts.update(h.power_element(hm.MElem(t, n)).value)
             else:
                 size = rng.randint(1, min(3, len(vals)))
                 parts.update(rng.sample(vals, k=size))
@@ -532,8 +529,6 @@ def _direct_limit_successor(h: hm.Hierarchy, v, depth: int) -> bool:
 
 def _chk_limit_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     depth = ctx.cfg.depth
-    if depth < 2:
-        return []
     h = ctx.once(hm.Hierarchy, p)
     rng = ctx.rng("limit-partition", name)
     out = []
@@ -574,9 +569,8 @@ def _chk_union_criterion(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     for lv in h.build(depth):
         for v in lv.values:
             out.extend(_union_witnesses(h, v, depth))
-    if depth >= 2:
-        for v in _mixed_family(h, depth, rng, MIXED_FAMILY_SIZE):
-            out.extend(_union_witnesses(h, v, depth))
+    for v in _mixed_family(h, depth, rng, MIXED_FAMILY_SIZE):
+        out.extend(_union_witnesses(h, v, depth))
     return out
 
 
@@ -988,8 +982,14 @@ def replay(blob: dict | Counterexample, cfg: SuiteConfig | None = None) -> bool:
     if suite.scope == "finite":
         if not cx.labels:
             raise ValueError("finite counterexample is missing its relation rows")
+        limit = suite.max_n or ENUM_HARD_CAP
+        if len(cx.labels) > limit:
+            raise ValueError(f"{cx.suite} checks carriers of at most {limit} atoms, "
+                             f"not {len(cx.labels)}")
         model: object = PreOrder(cx.labels, tuple(cx.rows))
     else:
+        if cx.model not in suite.models:
+            raise ValueError(f"{cx.suite} checks no symbolic model {cx.model!r}")
         model = sym.model_by_name(cx.model)
     return not _witnesses(suite, model, cx.model, RunContext(run_cfg))
 

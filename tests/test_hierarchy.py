@@ -1,7 +1,10 @@
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmas import (CapExceeded, Hierarchy, MElem, Membership, PreOrder, build,
                     enumerate_opens, hf_rank, hf_union)
@@ -80,9 +83,23 @@ def test_parse_render_roundtrip():
     assert parse_value("{}") == frozenset()
 
 
-@pytest.mark.parametrize("bad", ["", "{a", "a}b", "{a,,b}", "{a} x"])
+hf_values = st.recursive(st.sampled_from(["a", "b", "c1", "x_2"]),
+                         lambda kids: st.frozensets(kids, max_size=3), max_leaves=12)
+blanks = st.text(alphabet=" \t\n", max_size=2)
+
+
+@settings(max_examples=200)
+@given(hf_values, st.data())
+def test_parse_inverts_render_with_blanks(v, data):
+    tokens = re.findall(r"[{},]|[^{},]+", render_value(v))
+    text = "".join(data.draw(blanks) + t for t in tokens) + data.draw(blanks)
+    assert parse_value(render_value(v)) == parse_value(text) == v
+
+
+@pytest.mark.parametrize("bad", ["", "{a", "a}b", "{a,,b}", "{a} x", "{a b}", "{,a}",
+                                 "{a,}", "}", "{{a}"])
 def test_parse_rejects_bad_literals(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"position \d+"):
         parse_value(bad)
 
 
@@ -128,6 +145,18 @@ def test_antichain2_level2_exact(antichain2):
 
 def test_chain3_level2_size(chain3):
     assert len(h_of(chain3).level(2)) == 3
+
+
+def test_levels_are_frozen(chain3):
+    h = h_of(chain3)
+    lv = h.level(1)
+    for field in ("index", "masks", "values"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(lv, field, None)
+    # the cached fields still fill in, and equality stays identity
+    assert lv.sub_rows is lv.sub_rows and lv.value_set == frozenset(lv.values)
+    assert lv == h.level(1) and lv != h_of(chain3).level(1)
+    assert repr(lv) == "HierarchyLevel(1, size=3)"
 
 
 def test_level2_matches_ideal_oracle(models_by_size):

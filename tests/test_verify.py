@@ -10,7 +10,8 @@ from magmas import hierarchy as hm
 from magmas import shifting as sh
 from magmas import symbolic as sym
 from magmas import topology as tp
-from magmas.preorder import CapExceeded, PreOrder, bits, format_atom_set, format_preorder
+from magmas.preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, bits, format_atom_set,
+                             format_preorder)
 from magmas.verify import (_BLOCK, ConfigError, Counterexample, RunContext, SUITES,
                            SuiteConfig, _chk_minimal_characterizations,
                            _chk_open_family, _chk_shift_laws,
@@ -116,6 +117,11 @@ def test_config_validation():
         run_suite(SuiteConfig(suites=("no-such-suite",)))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(symbolic_depth=1))
+    # one string is not a tuple of ids, and an empty selection checks nothing
+    with pytest.raises(ConfigError, match="not the string 'all'"):
+        run_suite(SuiteConfig(suites="all"))
+    with pytest.raises(ConfigError, match="no suites selected"):
+        run_suite(SuiteConfig(suites=()))
 
 
 def test_injected_fault_fails_with_counterexample():
@@ -192,6 +198,20 @@ def test_replay_rejects_malformed_blobs():
             with pytest.raises(ValueError, match="malformed counterexample blob"):
                 replay(dict(good, **{key: value}))
     assert replay(good) is True
+    # a blob no run could produce: not a dict, a symbolic model its suite
+    # does not name, a carrier above the suite's size limit
+    with pytest.raises(ValueError, match="malformed counterexample blob"):
+        replay([1, 2])
+    for suite, model in (("clustered-class-saturation", "prefix"),
+                         ("generator-subset-semantics", "clustered:5")):
+        with pytest.raises(ValueError, match="checks no symbolic model"):
+            replay({"suite": suite, "model": model})
+    for suite, n, limit in (("hierarchy-levels", 4, 3), ("hierarchy-levels", 5, 3),
+                            ("open-family-closure", 13, ENUM_HARD_CAP)):
+        labels = [f"x{i}" for i in range(n)]
+        with pytest.raises(ValueError, match=f"at most {limit} atoms"):
+            replay({"suite": suite, "model": f"n={n}#0", "labels": labels,
+                    "rows": [1 << i for i in range(n)]})
 
 
 def test_replay_symbolic_witness():
