@@ -274,6 +274,25 @@ MUTANTS = (
      "        if cx.model not in suite.models:\n",
      "        if False:\n",
      "tests/test_verify.py"),
+    # the limit suites passing an undecided membership answer
+    ("src/magmas/verify.py",
+     'if direct != by_slices or mem.kind == "undecided":',
+     'if direct != by_slices and mem.kind != "undecided":',
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     'if "undecided" in (rep.membership.kind, rep.union_membership.kind):',
+     "if False:",
+     "tests/test_verify.py"),
+    # the config's type guard letting a bool through as an int
+    ("src/magmas/verify.py",
+     "if type(value) is not int:",
+     "if not isinstance(value, int):",
+     "tests/test_verify.py"),
+    # the value parser without its nesting cap
+    ("src/magmas/hierarchy.py",
+     "        if depth == MAX_NESTING:\n",
+     "        if False:\n",
+     "tests/test_hierarchy.py"),
 )
 
 

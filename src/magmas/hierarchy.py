@@ -26,6 +26,7 @@ from .preorder import (AtomSet, CapExceeded, PreOrder, bits, downset_masks, form
 from .topology import check_carrier_cap, inclusion_rows, is_lower_open, row_union
 
 GROWTH_CAP = 20  # |M2| reaches 18 on the 3-atom antichain
+MAX_NESTING = 100  # brace depth parse_value accepts; it recurses once per brace
 
 HF = object  # an atom label (str) or a frozenset of HF values
 
@@ -76,7 +77,8 @@ def parse_value(text: str) -> HF:
 
     A value is a label, ``{}``, or ``{`` value (``,`` value)* ``}``. The
     tokens are braces, commas and labels; blanks (space, tab, newline)
-    only separate them.
+    only separate them. A ``{`` nested inside ``MAX_NESTING`` others is
+    refused.
     """
     tokens = re.finditer(r"[{},]|[^{}, \t\n]+", text)
 
@@ -85,17 +87,19 @@ def parse_value(text: str) -> HF:
         tok = next(tokens, None)
         return (tok[0], tok.start()) if tok else ("", len(text))
 
-    def value(t: str, at: int) -> HF:
+    def value(t: str, at: int, depth: int) -> HF:
         if t in ("", ",", "}"):
             raise ValueError(f"expected a value at position {at}")
         if t != "{":
             return t
+        if depth == MAX_NESTING:
+            raise ValueError(f"braces nested deeper than {MAX_NESTING} at position {at}")
         t, at = take()
         if t == "}":
             return frozenset()
         items = []
         while True:
-            items.append(value(t, at))
+            items.append(value(t, at, depth + 1))
             t, at = take()
             if t == "}":
                 return frozenset(items)
@@ -103,7 +107,7 @@ def parse_value(text: str) -> HF:
                 raise ValueError(f"expected ',' or '}}' at position {at}")
             t, at = take()
 
-    v = value(*take())
+    v = value(*take(), 0)
     t, at = take()
     if t:
         raise ValueError(f"trailing input at position {at}: {text[at:]!r}")

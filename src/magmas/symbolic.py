@@ -10,10 +10,9 @@ and open sets can be handled through finite generator lists.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +34,7 @@ class SymbolicPreOrder:
     name: str
     leq: Callable[[object, object], bool]
     strict_pred: Callable[[object], object]
-    atoms_up_to: Callable[[int], Iterator[object]]
+    atoms_up_to: Callable[[int], Iterable[object]]
     random_atom: Callable[[random.Random, int, int], object]
     render_atom: Callable[[object], str]
     parse_atom: Callable[[str], object]
@@ -44,12 +43,6 @@ class SymbolicPreOrder:
 
     def strict(self, a: object, b: object) -> bool:
         return self.leq(a, b) and not self.leq(b, a)
-
-
-def _bitstrings(hi: int) -> Iterator[str]:
-    for length in range(1, hi + 1):
-        for tup in itertools.product("01", repeat=length):
-            yield "".join(tup)
 
 
 def _check_bitstring(s: str) -> str:
@@ -65,8 +58,8 @@ def _random_bitstring(rng: random.Random, lo: int, hi: int) -> str:
 
 def _extensions_up_to(tips: Sequence[str], depth: int) -> list[str]:
     """The strings of length 1..depth that extend some tip, shortest
-    first and in lexicographic order within a length, as
-    :func:`_bitstrings` lists them.
+    first and in lexicographic order within a length; with the tips
+    "0" and "1", every string up to depth.
 
     Built one length at a time: the extensions of the tips seen so far
     grow by one bit, and a tip of the new length joins them unless a
@@ -98,7 +91,7 @@ def binary_string_model() -> SymbolicPreOrder:
         name="prefix",
         leq=lambda s, t: s.startswith(t),
         strict_pred=lambda t: t + "0",
-        atoms_up_to=_bitstrings,
+        atoms_up_to=lambda depth: _extensions_up_to(("0", "1"), depth),
         random_atom=_random_bitstring,
         render_atom=lambda s: s,
         parse_atom=_check_bitstring,

@@ -59,6 +59,10 @@ class SuiteConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("max_size", "depth", "symbolic_depth", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool too: it would pass the range checks
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.max_size <= ENUM_HARD_CAP:
             raise ConfigError(
                 f"max_size must be in 1..{ENUM_HARD_CAP}, got {self.max_size}")
@@ -510,21 +514,16 @@ def _mixed_family(h: hm.Hierarchy, depth: int, rng: random.Random,
     return family
 
 
-def _direct_limit_successor(h: hm.Hierarchy, v, depth: int) -> bool:
-    # literal reading: nonempty, inside the union of built levels, and
-    # downward closed there
-    if not isinstance(v, frozenset) or not v:
-        return False
-    for w in v:
-        if not isinstance(w, frozenset):
-            return False
-        if h.finite_level_of(w, depth) is None:
-            return False
-        for n in range(1, depth + 1):
-            for z in h.level(n).values:
-                if z <= w and z not in v:
-                    return False
-    return True
+def _direct_limit_successor(h: hm.Hierarchy, v: frozenset, depth: int) -> bool:
+    """The literal reading of membership one step past the limit, over the
+    levels ``h.build(depth)`` materialized and nothing else: v is nonempty,
+    each member of v is a value of a built level, and every built value
+    inside a member is a member too."""
+    levels = h.build(depth)
+    return bool(v) and all(
+        any(w in lv.value_set for lv in levels)
+        and all(z in v for lv in levels for z in lv.values if z <= w)
+        for w in v)
 
 
 def _chk_limit_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
@@ -535,18 +534,22 @@ def _chk_limit_partition(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     for v in _mixed_family(h, depth, rng, MIXED_FAMILY_SIZE):
         direct = _direct_limit_successor(h, v, depth)
         mem = h.membership(v, depth)
-        if mem.kind == "undecided":
-            continue
         by_slices = mem.kind == "limit" or (mem.kind == "level" and mem.level >= 2)
-        if direct != by_slices:
+        # every member of v sits at a finite level <= depth, so a correct
+        # answer is never undecided
+        if direct != by_slices or mem.kind == "undecided":
             out.append({"value": hm.render_value(v), "direct": direct,
-                        "slices": by_slices})
+                        "slices": by_slices, "membership": mem.kind})
     return out
 
 
 def _union_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
     rep = h.union_report(v, depth)
     out = []
+    # a corpus value and its union have members at finite levels <= depth,
+    # so a correct answer for either is never undecided
+    if "undecided" in (rep.membership.kind, rep.union_membership.kind):
+        out.append({"kind": "undecided", "value": hm.render_value(v)})
     if rep.membership.kind == "level" and rep.membership.level == 1:
         if rep.union_value != frozenset():
             out.append({"kind": "bottom-union-not-empty",
@@ -635,8 +638,7 @@ def _trichotomy_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
     is_atom = isinstance(v, str)
     in_m = (not is_atom) and h.membership(v, depth).in_m
     expected = "atom" if is_atom else ("magma" if in_m else "set")
-    flags = [is_atom, in_m, not is_atom and not in_m]
-    if cls != expected or sum(flags) != 1:
+    if cls != expected:
         return [{"kind": "classification-mismatch", "value": hm.render_value(v),
                  "classified": cls}]
     return []
@@ -685,10 +687,7 @@ def _chk_gen_subset_semantics(model: sym.SymbolicPreOrder, name: str,
     for g1, m1 in zip(pool, members):
         for g2, m2 in zip(pool, members):
             if sym.gen_subset(g1, g2) != (m1 <= m2):
-                out.append({
-                    "g1": [model.render_atom(a) for a in g1.generators],
-                    "g2": [model.render_atom(a) for a in g2.generators],
-                })
+                out.append({"g1": _render_gens(g1), "g2": _render_gens(g2)})
     return out
 
 
@@ -746,8 +745,7 @@ def _chk_cluster_saturation(model: sym.SymbolicPreOrder, name: str,
     depth = ctx.cfg.symbolic_depth
     pool = _gen_pool(model, rng, depth, 15)
     out = []
-    strings = {model.render_atom(a).split("#")[0]
-               for a in model.atoms_up_to(min(depth, 5))}
+    strings = {s for s, _ in model.atoms_up_to(min(depth, 5))}
     for g in pool:
         for s in sorted(strings):
             votes = {sym.gen_member(g, (s, i)) for i in range(k)}
@@ -948,8 +946,7 @@ def run_suite(cfg: SuiteConfig, _model_hook: Callable | None = None) -> Report:
     """
     cfg.validate()
     ctx = RunContext(cfg)
-    chosen = set(cfg.selected())
-    selected = [s for sid, s in SUITES.items() if sid in chosen]
+    selected = [SUITES[sid] for sid in cfg.selected()]
     results = {s.suite_id: SuiteResult(s.suite_id, s.statement, 0) for s in selected}
     finite = [s for s in selected if s.scope == "finite"]
     if finite:

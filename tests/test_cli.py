@@ -147,6 +147,13 @@ def test_member_command(capsys, anti_file):
     assert code == 2 and "error" in err
 
 
+def test_member_refuses_deep_nesting_in_one_line(capsys, chain_file):
+    deep = "{" * 1200 + "a" + "}" * 1200
+    code, out, err = run(capsys, "member", chain_file, "--value", deep)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check(capsys, chain_file):
     code, out, _ = run(capsys, "check", chain_file)
     assert code == 0

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from magmas import (CapExceeded, Hierarchy, MElem, Membership, PreOrder, build,
                     enumerate_opens, hf_rank, hf_union)
-from magmas.hierarchy import find_open_partition, parse_value, render_value, split_cones
+from magmas.hierarchy import (MAX_NESTING, find_open_partition, parse_value, render_value,
+                              split_cones)
 from magmas.preorder import bits
 from magmas.topology import CARRIER_CAP, inclusion_rows
 
@@ -97,10 +98,18 @@ def test_parse_inverts_render_with_blanks(v, data):
 
 
 @pytest.mark.parametrize("bad", ["", "{a", "a}b", "{a,,b}", "{a} x", "{a b}", "{,a}",
-                                 "{a,}", "}", "{{a}"])
+                                 "{a,}", "}", "{{a}",
+                                 pytest.param("{" * 1200 + "a" + "}" * 1200, id="nested-1200")])
 def test_parse_rejects_bad_literals(bad):
     with pytest.raises(ValueError, match=r"position \d+"):
         parse_value(bad)
+
+
+def test_parse_nesting_cap():
+    deep = "{" * MAX_NESTING + "a" + "}" * MAX_NESTING
+    assert hf_rank(parse_value(deep)) == MAX_NESTING
+    with pytest.raises(ValueError, match=f"position {MAX_NESTING}$"):
+        parse_value("{" + deep + "}")
 
 
 # --- level construction --------------------------------------------------------

@@ -12,8 +12,8 @@ from magmas import symbolic as sym
 from magmas import topology as tp
 from magmas.preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, bits, format_atom_set,
                              format_preorder)
-from magmas.verify import (_BLOCK, ConfigError, Counterexample, RunContext, SUITES,
-                           SuiteConfig, _chk_minimal_characterizations,
+from magmas.verify import (_BLOCK, MIXED_FAMILY_SIZE, ConfigError, Counterexample,
+                           RunContext, SUITES, SuiteConfig, _chk_minimal_characterizations,
                            _chk_open_family, _chk_shift_laws,
                            _chk_shift_minimal_contra, _witnesses, render_report, replay,
                            report_to_json, run_suite)
@@ -122,6 +122,11 @@ def test_config_validation():
         run_suite(SuiteConfig(suites="all"))
     with pytest.raises(ConfigError, match="no suites selected"):
         run_suite(SuiteConfig(suites=()))
+    # each numeric field must be an int, and a bool is not one
+    for field, bad in (("depth", 2.5), ("max_size", "4"), ("seed", True),
+                       ("symbolic_depth", 8.0)):
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            SuiteConfig(**{field: bad}).validate()
 
 
 def test_injected_fault_fails_with_counterexample():
@@ -223,6 +228,30 @@ def test_replay_symbolic_witness():
     # replay re-runs the whole check on the prefix model, where it holds;
     # the witness (pr(01) below pr(0)) is reported, not decoded
     assert replay(blob) is True
+
+
+def test_undecided_membership_fails_the_limit_suites(monkeypatch):
+    # every mixed family and every union on these suites' corpora has
+    # members at decided finite levels, so an undecided answer is wrong
+    real = hm.Hierarchy.membership
+
+    def membership(self, v, bound):
+        mem = real(self, v, bound)
+        return mem if mem.kind == "level" else hm.Membership("undecided")
+
+    monkeypatch.setattr(hm.Hierarchy, "membership", membership)
+    suites = ("limit-partition", "union-criterion")
+    report = run_suite(SuiteConfig(suites=suites, max_size=3))
+    limit, union = (r for r in report.results if r.suite_id in suites)
+    # each mixed family is a failure, whatever its literal reading
+    assert len(limit.failures) == MIXED_FAMILY_SIZE * limit.models_checked
+    assert {cx.witness["membership"] for cx in limit.failures} == {"undecided"}
+    assert {cx.witness["direct"] for cx in limit.failures} == {False, True}
+    assert any(cx.witness.get("kind") == "undecided" for cx in union.failures)
+    blobs = [json.loads(json.dumps(r.failures[0].to_blob())) for r in (limit, union)]
+    assert [replay(b) for b in blobs] == [False, False]
+    monkeypatch.undo()
+    assert [replay(b) for b in blobs] == [True, True]
 
 
 def forge_membership(monkeypatch, literal, level, bound=None):
@@ -357,6 +386,22 @@ def test_bounded_member_fault_is_caught_and_replayed(monkeypatch):
     assert report.failures
     blob = json.loads(json.dumps(report.failures[0].to_blob()))
     assert blob["suite"] == "generator-subset-semantics"
+    assert replay(blob) is False
+    monkeypatch.undo()
+    assert replay(blob) is True
+
+
+def test_nested_shrink_fault_is_caught_and_replayed(monkeypatch):
+    # a level-2 shrink that returns its input: the witness renders the
+    # lifted open's generators as nested lists of atoms
+    real = sym.strict_shrink
+    monkeypatch.setattr(sym, "strict_shrink", lambda g: g if g.level == 2 else real(g))
+    report = run_suite(SuiteConfig(suites=("shrink-strictly-descends",)))
+    assert report.failures
+    assert all(cx.witness["level"] == 2 for cx in report.failures)
+    blob = json.loads(json.dumps(report.failures[0].to_blob()))
+    [gens] = blob["witness"]["gens"]
+    assert gens and all(isinstance(a, str) for a in gens)
     assert replay(blob) is False
     monkeypatch.undo()
     assert replay(blob) is True
