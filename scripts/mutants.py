@@ -293,6 +293,29 @@ MUTANTS = (
      "        if depth == MAX_NESTING:\n",
      "        if False:\n",
      "tests/test_hierarchy.py"),
+    # the pattern decode without the diagonal bit; the enumeration cap back at 5
+    ("src/magmas/preorder.py",
+     "rows.append(row & low | (row & ~low) << 1 | 1 << b)",
+     "rows.append(row & low | (row & ~low) << 1)",
+     "tests/test_preorder.py"),
+    ("src/magmas/preorder.py",
+     "ENUM_HARD_CAP = 6",
+     "ENUM_HARD_CAP = 5",
+     "tests/test_preorder.py"),
+    # the symbolic depth cap guards removed, in validation and in the config
+    ("src/magmas/symbolic.py",
+     "    if depth > DEPTH_CAP:\n",
+     "    if False:\n",
+     "tests/test_symbolic.py"),
+    ("src/magmas/verify.py",
+     "if not 3 <= self.symbolic_depth <= sym.DEPTH_CAP:",
+     "if not 3 <= self.symbolic_depth:",
+     "tests/test_verify.py"),
+    # the CLI printing a KeyError through str(), which quotes its message
+    ("src/magmas/cli.py",
+     "msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc",
+     "msg = exc",
+     "tests/test_cli.py"),
 )
 
 

@@ -214,7 +214,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except (ValueError, KeyError, OSError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 AtomSet = int
 
-ENUM_HARD_CAP = 5
+ENUM_HARD_CAP = 6
 
 _LETTERS = string.ascii_lowercase
 
@@ -259,19 +259,21 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(n))
 
 
-def _extensions(n: int) -> list[tuple[AtomSet, ...]]:
+def _extensions(n: int) -> Iterator[tuple[AtomSet, ...]]:
     """Closed predecessor rows of every pre-order on n atoms, in no fixed order.
 
     Each pre-order on atoms 0..n-2 grows by a new atom x = n-1 in every
     consistent way: x takes a down-closed set D below it and an up-closed
     set U above it, with D below every atom of U. Old rows in U gain x, and
     x's row is D | {x}. Restricting to 0..n-2 inverts this, so each
-    pre-order on n atoms appears exactly once.
+    pre-order on n atoms appears exactly once. A generator, holding one
+    model per recursion level: :func:`enumerate_preorders` packs each
+    model it yields into one int, so the stream keeps one int per model.
     """
     if n == 1:
-        return [(1,)]
+        yield (1,)
+        return
     x = 1 << (n - 1)
-    out = []
     for rows in _extensions(n - 1):
         downs = [0, *downset_masks(rows, n - 1)]
         for rest in downs:
@@ -281,8 +283,9 @@ def _extensions(n: int) -> list[tuple[AtomSet, ...]]:
             for u in bits(up):
                 below &= rows[u]
             grown = tuple(row | x if up >> b & 1 else row for b, row in enumerate(rows))
-            out.extend(grown + (d | x,) for d in downs if not d & ~below)
-    return out
+            for d in downs:
+                if not d & ~below:
+                    yield grown + (d | x,)
 
 
 def _pattern_index(rows: tuple[AtomSet, ...]) -> int:
@@ -299,6 +302,17 @@ def _pattern_index(rows: tuple[AtomSet, ...]) -> int:
     return idx
 
 
+def _pattern_rows(idx: int, n: int) -> tuple[AtomSet, ...]:
+    """The rows of edge pattern ``idx`` on n atoms, diagonal bits restored;
+    the inverse of :func:`_pattern_index`."""
+    chunk = (1 << (n - 1)) - 1
+    rows = []
+    for b in range(n):
+        low, row = (1 << b) - 1, idx >> b * (n - 1) & chunk
+        rows.append(row & low | (row & ~low) << 1 | 1 << b)
+    return tuple(rows)
+
+
 def enumerate_preorders(n: int, *, bound: int = ENUM_HARD_CAP) -> Iterator[PreOrder]:
     """Every labeled pre-order on n atoms, exactly once, in a fixed order.
 
@@ -307,6 +321,8 @@ def enumerate_preorders(n: int, *, bound: int = ENUM_HARD_CAP) -> Iterator[PreOr
     edge patterns. They come out in the order of their edge pattern read
     as a binary number (bit b*(n-1) + j: row b's j-th off-diagonal atom),
     so the stream index of a model is stable across runs and versions.
+    The sort holds one packed pattern int per model, not its rows; each
+    model's rows are decoded from its int as it is yielded.
     """
     if n > min(bound, ENUM_HARD_CAP):
         raise CapExceeded(
@@ -315,10 +331,8 @@ def enumerate_preorders(n: int, *, bound: int = ENUM_HARD_CAP) -> Iterator[PreOr
     if n < 1:
         raise ValueError("carrier size must be positive")
     labels = default_labels(n)
-    models = _extensions(n)
-    models.sort(key=_pattern_index)
-    for rows in models:
-        yield PreOrder(labels, rows)
+    for idx in sorted(map(_pattern_index, _extensions(n))):
+        yield PreOrder(labels, _pattern_rows(idx, n))
 
 
 def count_preorders(n: int, *, bound: int = ENUM_HARD_CAP) -> int:

@@ -290,6 +290,11 @@ class ModelValidation:
 
 EXTRA_SAMPLES = 200  # random atoms deeper than depth added to the pool
 TRIPLE_SAMPLES = 500  # random triples drawn from the pool for transitivity
+# the largest validation depth, and the verify harness's largest
+# symbolic_depth: depth d lists about 2^(d+1) atoms per model; on a 2-core
+# host the symbolic suites take about 2 s and 130 MiB at depth 16, and each
+# further step about doubles the time
+DEPTH_CAP = 16
 
 
 def validate_model(model: SymbolicPreOrder, *, depth: int = 8,
@@ -297,6 +302,9 @@ def validate_model(model: SymbolicPreOrder, *, depth: int = 8,
     """Validate the axioms on all atoms up to ``depth`` plus random longer ones."""
     if depth < 1:
         raise ValueError(f"validation depth must be at least 1, got {depth}")
+    if depth > DEPTH_CAP:
+        raise ValueError(f"validation depth must be at most DEPTH_CAP = {DEPTH_CAP}, "
+                         f"got {depth}")
     rng = random.Random(seed)
     pool = list(model.atoms_up_to(depth))
     pool.extend(model.random_atom(rng, depth + 1, depth + 8) for _ in range(EXTRA_SAMPLES))

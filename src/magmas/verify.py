@@ -68,10 +68,9 @@ class SuiteConfig:
                 f"max_size must be in 1..{ENUM_HARD_CAP}, got {self.max_size}")
         if self.depth < 1:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
-        if self.symbolic_depth < 3:
-            raise ConfigError(
-                f"symbolic_depth must be at least 3, got {self.symbolic_depth}"
-            )
+        if not 3 <= self.symbolic_depth <= sym.DEPTH_CAP:
+            raise ConfigError(f"symbolic_depth must be in 3..{sym.DEPTH_CAP} "
+                              f"(symbolic.DEPTH_CAP), got {self.symbolic_depth}")
         if isinstance(self.suites, str):
             raise ConfigError(f"suites must be a tuple of suite ids, not the string "
                               f"{self.suites!r}")

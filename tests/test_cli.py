@@ -54,6 +54,11 @@ def test_shift_pr_plus(capsys, chain_file):
     assert code == 0 and out.splitlines() == ["{}", "{a}"]
 
 
+def test_unknown_label_message_is_printed_unquoted(capsys, chain_file):
+    code, out, err = run(capsys, "shift", chain_file, "--x", "{z}", "--y", "a")
+    assert (code, out, err) == (2, "", "error: unknown atom label 'z'\n")
+
+
 def test_shift_requires_arguments(capsys, chain_file):
     code, _, err = run(capsys, "shift", chain_file, "--x", "{a}")
     assert code == 2 and "pr-plus" in err
@@ -87,6 +92,11 @@ def test_symbolic_validate_rejects_depth_below_one(capsys, depth):
     code, out, err = run(capsys, "symbolic", "validate", "--depth", depth)
     assert code == 2 and "status" not in out
     assert "validation depth must be at least 1" in err
+
+
+def test_symbolic_validate_refuses_depth_past_the_cap(capsys):
+    code, out, err = run(capsys, "symbolic", "validate", "--depth", "17")
+    assert code == 2 and "status" not in out and "DEPTH_CAP = 16" in err
 
 
 def test_symbolic_clustered_atoms(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -247,19 +248,33 @@ def test_enumeration_matches_pattern_walk(n):
 @pytest.mark.parametrize("n, digest", [
     (4, "e40b8ad4157c737d3d9a01f2d4a3dfa36758b549665f35c34d47746f641ba6b5"),
     (5, "4f6aaa5e409f725c5dbaca1b54947bcbfb0188c9578e2a9ffa4298d70995e978"),
+    (6, "6dde3e22e7db300374cafe72c7eae672c65ecbd4daad2a12c98b23cb392be436"),
 ])
 def test_enumeration_order_pinned(n, digest):
-    rows = [p.pred for p in enumerate_preorders(n, bound=5)]
+    rows = [p.pred for p in enumerate_preorders(n)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_enumeration_bounds():
+    assert count_preorders(6) == 209527  # OEIS A000798
     assert count_preorders(5) == 6942
     with pytest.raises(CapExceeded):
         list(enumerate_preorders(5, bound=4))
     with pytest.raises(CapExceeded):
-        list(enumerate_preorders(6, bound=6))
+        list(enumerate_preorders(7, bound=7))
     assert count_preorders(1) == 1
+
+
+def test_enumeration_holds_one_int_per_model():
+    # a list of 6942 row tuples peaks near 0.8 MiB; their packed ints near 0.3
+    count_preorders(5)  # fill the interpreter's free lists before tracing
+    tracemalloc.start()
+    try:
+        count_preorders(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_default_labels():

@@ -6,6 +6,7 @@ from magmas import (GenOpen, binary_string_model, clustered_model, gen_equal,
                     gen_intersect, gen_member, gen_subset, gen_union,
                     members_up_to, model_by_name, normalize, strict_shrink,
                     validate_model)
+from magmas import symbolic as sym
 from oracles import bounded_members
 
 
@@ -100,6 +101,11 @@ def test_validation_rejects_depth_below_one(prefix, clustered, depth):
     for model in (prefix, clustered):
         with pytest.raises(ValueError, match="at least 1"):
             validate_model(model, depth=depth)
+
+
+def test_validation_depth_is_capped(prefix):
+    with pytest.raises(ValueError, match=f"at most DEPTH_CAP = {sym.DEPTH_CAP}"):
+        validate_model(prefix, depth=sym.DEPTH_CAP + 1)
 
 
 # --- generated opens ----------------------------------------------------------

@@ -110,7 +110,7 @@ def test_json_report_matches_golden(small_report):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        run_suite(SuiteConfig(max_size=6))
+        run_suite(SuiteConfig(max_size=7))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(depth=0))
     with pytest.raises(ConfigError):
@@ -217,6 +217,22 @@ def test_replay_rejects_malformed_blobs():
         with pytest.raises(ValueError, match=f"at most {limit} atoms"):
             replay({"suite": suite, "model": f"n={n}#0", "labels": labels,
                     "rows": [1 << i for i in range(n)]})
+
+
+def test_symbolic_depth_is_capped():
+    SuiteConfig(symbolic_depth=sym.DEPTH_CAP).validate()
+    with pytest.raises(ConfigError, match=r"3\.\.16 \(symbolic\.DEPTH_CAP\), got 17"):
+        SuiteConfig(symbolic_depth=17).validate()
+    # replay validates the recorded depth before it runs the check
+    with pytest.raises(ConfigError, match="symbolic.DEPTH_CAP"):
+        replay({"suite": "symbolic-model-axioms", "model": "prefix",
+                "config": {"symbolic_depth": 30}})
+
+
+def test_a_carrier_suite_checks_every_model_on_six_atoms():
+    report = run_suite(SuiteConfig(suites=("finite-star-fails",), max_size=6))
+    res = next(r for r in report.results if r.suite_id == "finite-star-fails")
+    assert (res.status, res.models_checked) == ("pass", 1 + 4 + 29 + 355 + 6942 + 209527)
 
 
 def test_replay_symbolic_witness():
