@@ -141,6 +141,11 @@ MUTANTS = (
      "for n, name, p in block if n <= limit]",
      "for n, name, p in block if n < limit]",
      "tests/test_verify.py"),
+    # hierarchy-scoped models back in blocks of _BLOCK models
+    ("src/magmas/verify.py",
+     "block = [first] if first[0] <= scoped else",
+     "block = [first] if first[0] <= 0 else",
+     "tests/test_verify.py"),
     # a row bit outside the carrier rendered by indexing the labels
     ("src/magmas/preorder.py",
      'yield (p.labels[a] if a < p.n else f"#{a}"), p.labels[b]',

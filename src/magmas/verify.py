@@ -14,12 +14,15 @@ recorded seed and depths and sees the same instances.
 block: each block of models is pulled from the enumeration, checked by
 every selected suite in registry order, each within its own size limit,
 and dropped before the next block is checked; then the symbolic suites
-run. Facts that several suites ask of one model (its open masks, its
-closure table, its minimal opens, the star condition, its hierarchy) are
-worked out once per block through ``RunContext.once`` and dropped with
-the block; replay and a check called directly compute them afresh. A
-suite's ``seconds`` add up over the blocks, so a shared fact is charged
-to the first suite that asks for it, and enumeration falls in no suite.
+run. A model that a selected size-limited suite checks is a block of its
+own, because that suite builds its level hierarchy; the other models come
+in blocks of ``_BLOCK``. Facts that several suites ask of one model (its
+open masks, its closure table, its minimal opens, the star condition, its
+hierarchy) are worked out once per block through ``RunContext.once`` and
+dropped with the block; replay and a check called directly compute them
+afresh. A suite's ``seconds`` add up over the blocks, so a shared fact is
+charged to the first suite that asks for it, and enumeration falls in no
+suite.
 """
 
 from __future__ import annotations
@@ -186,7 +189,8 @@ class RunContext:
 
     def once(self, fn: Callable, p: PreOrder, **tables):
         """``fn(p, **tables)``, computed at most once per block of
-        :func:`run_suite`.
+        :func:`run_suite` (one model, where a size-limited suite checks it:
+        its hierarchy is then the only one held).
 
         Keyed by the function and the model's identity, so ``tables`` must
         be facts of p itself, such as its shared closure table. An id is
@@ -915,20 +919,28 @@ def _run_finite(suites: list[Suite], ctx: RunContext, results: dict[str, SuiteRe
     """Run the finite suites block by block over the streamed models.
 
     One generator yields every model up to the largest limit, by size, with
-    ``model_hook`` applied. Each block of ``_BLOCK`` models is pulled from
-    it, checked by every suite in registry order, each over the block's
-    models whose enumerated size is within its own limit, and then freed
-    with its shared facts (:meth:`RunContext.once`). So a suite's counts
-    and failures come out in model order, as when it runs alone, and its
-    seconds add up over the blocks.
+    ``model_hook`` applied. Each block is pulled from it, checked by every
+    suite in registry order, each over the block's models whose enumerated
+    size is within its own limit, and then freed with its shared facts
+    (:meth:`RunContext.once`). So a suite's counts and failures come out in
+    model order, as when it runs alone, and its seconds add up over the
+    blocks.
+
+    A model whose size some selected suite with a size limit
+    (``Suite.max_n``) checks is a block of its own: such a suite's work on
+    a model is a level hierarchy, tens of KiB with its memo, so the memo
+    then holds one hierarchy, not a block's. These models are the first
+    ones of the stream; blocks of ``_BLOCK`` models follow them.
     """
     max_size = ctx.cfg.max_size
     limits = [min(max_size, s.max_n) if s.max_n else max_size for s in suites]
+    scoped = max((limit for s, limit in zip(suites, limits) if s.max_n), default=0)
     models = ((n, f"n={n}#{idx}", p if model_hook is None else model_hook(p))
               for n in range(1, max(limits) + 1)
               for idx, p in enumerate(enumerate_preorders(n)))
     try:
-        while block := list(islice(models, _BLOCK)):
+        while (first := next(models, None)) is not None:
+            block = [first] if first[0] <= scoped else [first, *islice(models, _BLOCK - 1)]
             ctx._memo = {}
             for suite, limit in zip(suites, limits):
                 _run_models(suite, [(name, p) for n, name, p in block if n <= limit],

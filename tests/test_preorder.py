@@ -11,7 +11,8 @@ from magmas import (CapExceeded, PreOrder, build, count_preorders,
                     parse_atom_set, parse_preorder)
 from magmas.preorder import bits, default_labels
 
-from oracles import (closure_pairs, preds, preorder_rows_by_pattern, succs,
+from oracles import (closure_pairs, count_posets, count_posets_by_relations,
+                     count_preorders_by_partition, preds, preorder_rows_by_pattern, succs,
                      transpose_rows)
 
 LABELS4 = "abcd"
@@ -256,13 +257,19 @@ def test_enumeration_order_pinned(n, digest):
 
 
 def test_enumeration_bounds():
-    assert count_preorders(6) == 209527  # OEIS A000798
-    assert count_preorders(5) == 6942
+    # OEIS A000798, and the partition-sum oracle over one-point poset extensions
+    assert count_preorders(6) == 209527 == count_preorders_by_partition(6)
+    assert count_preorders(5) == 6942 == count_preorders_by_partition(5)
     with pytest.raises(CapExceeded):
         list(enumerate_preorders(5, bound=4))
     with pytest.raises(CapExceeded):
         list(enumerate_preorders(7, bound=7))
     assert count_preorders(1) == 1
+
+
+def test_poset_oracle_matches_the_relation_walk():
+    assert [count_posets(k) for k in range(1, 5)] == [
+        count_posets_by_relations(k) for k in range(1, 5)] == [1, 3, 19, 219]
 
 
 def test_enumeration_holds_one_int_per_model():
@@ -305,6 +312,34 @@ def test_format_parse_roundtrip(models_by_size):
 def test_parse_rejects_bad_input(text):
     with pytest.raises(ValueError):
         parse_preorder(text)
+
+
+# strings made mostly of the input format's own tokens, so that the
+# parser's branches are reached, and arbitrary text in between
+format_texts = st.lists(
+    st.sampled_from(["atoms:", "<=", "#", "\n", " ", ",", "{", "}", "a", "b", "c"])
+    | st.text(max_size=3), max_size=20).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(format_texts)
+def test_parse_preorder_raises_only_value_error(text):
+    try:
+        p = parse_preorder(text)
+    except ValueError:
+        return
+    assert parse_preorder(format_preorder(p)) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(format_texts)
+def test_parse_atom_set_raises_only_its_two_errors(text):
+    p = build("abc", [("a", "b")])
+    try:
+        mask = parse_atom_set(p, text)
+    except (ValueError, KeyError):
+        return
+    assert not mask & ~p.full_mask
 
 
 def test_atom_set_literals(chain3):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmas import (GenOpen, binary_string_model, clustered_model, gen_equal,
                     gen_intersect, gen_member, gen_subset, gen_union,
@@ -75,6 +77,19 @@ def test_clustered_atom_rendering(clustered):
         clustered.parse_atom("01")
     with pytest.raises(ValueError):
         clustered.parse_atom("01#5")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["prefix", "clustered:3"]),
+       st.lists(st.sampled_from(["0", "1", "#", "-", "+", " ", "2", "9"])
+                | st.text(max_size=2), max_size=8).map("".join))
+def test_parse_atom_raises_only_value_error(name, text):
+    model = model_by_name(name)
+    try:
+        atom = model.parse_atom(text)
+    except ValueError:
+        return
+    assert model.parse_atom(model.render_atom(atom)) == atom
 
 
 def test_cluster_size_validation():

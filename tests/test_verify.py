@@ -4,6 +4,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmas import build
 from magmas import hierarchy as hm
@@ -12,8 +14,9 @@ from magmas import symbolic as sym
 from magmas import topology as tp
 from magmas.preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, bits, format_atom_set,
                              format_preorder)
-from magmas.verify import (_BLOCK, MIXED_FAMILY_SIZE, ConfigError, Counterexample,
-                           RunContext, SUITES, SuiteConfig, _chk_minimal_characterizations,
+from magmas.verify import (_BLOCK, HIER_MAX_N, MIXED_FAMILY_SIZE, RECORDED_CONFIG,
+                           ConfigError, Counterexample, RunContext, SUITES, SuiteConfig,
+                           _chk_minimal_characterizations,
                            _chk_open_family, _chk_shift_laws,
                            _chk_shift_minimal_contra, _witnesses, render_report, replay,
                            report_to_json, run_suite)
@@ -219,6 +222,35 @@ def test_replay_rejects_malformed_blobs():
                     "rows": [1 << i for i in range(n)]})
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+BLOB_KEYS = ["suite", "model", "model_text", "labels", "rows", "witness", "message",
+             "config", *RECORDED_CONFIG]
+GOOD_BLOB = {"suite": "closure-idempotence", "model": "n=2#0", "model_text": "",
+             "labels": ["a", "b"], "rows": [1, 3], "witness": {}, "message": "",
+             "config": {"seed": 0}}
+# random dicts, and a well-formed blob with some keys dropped and some replaced
+blob_keys = st.sampled_from(BLOB_KEYS) | st.text(max_size=4)
+blobs = (st.dictionaries(blob_keys, json_values, max_size=8)
+         | st.builds(lambda drop, extra: {k: v for k, v in {**GOOD_BLOB, **extra}.items()
+                                          if k not in drop},
+                     st.sets(st.sampled_from(BLOB_KEYS), max_size=2),
+                     st.dictionaries(blob_keys, json_values, max_size=2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blobs)
+def test_from_blob_raises_only_value_error(blob):
+    try:
+        cx = Counterexample.from_blob(blob)
+    except ValueError:
+        return
+    assert Counterexample.from_blob(cx.to_blob()) == cx
+
+
 def test_symbolic_depth_is_capped():
     SuiteConfig(symbolic_depth=sym.DEPTH_CAP).validate()
     with pytest.raises(ConfigError, match=r"3\.\.16 \(symbolic\.DEPTH_CAP\), got 17"):
@@ -418,6 +450,56 @@ def test_nested_shrink_fault_is_caught_and_replayed(monkeypatch):
     blob = json.loads(json.dumps(report.failures[0].to_blob()))
     [gens] = blob["witness"]["gens"]
     assert gens and all(isinstance(a, str) for a in gens)
+    assert replay(blob) is False
+    monkeypatch.undo()
+    assert replay(blob) is True
+
+
+def _whole_level(h, x):
+    return x.level > 1 and x.value == frozenset(h.level(x.level - 1).values)
+
+
+_strict, _rows = PreOrder.strict, hm.inclusion_rows
+_power, _member = hm.Hierarchy.power_element, hm.Hierarchy.member_level
+
+# (witness kind, suite, patched object, attribute, fault); each fault
+# yields at least its own kind at max_size 2 and the default depth 3
+WITNESS_FAULTS = [
+    ("irreflexive", "strict-part-laws", PreOrder, "strict",
+     lambda self, a, b: a == b or _strict(self, a, b)),
+    ("strict-law", "strict-part-laws", PreOrder, "strict",
+     lambda self, a, b: a != b and self.leq(a, b)),
+    ("bad-witness", "finite-star-fails", PreOrder, "satisfies_star",
+     lambda self: (False, self.n - 1)),
+    ("empty-cone", "powerset-cone-step", hm, "inclusion_rows",
+     lambda masks: (0, *_rows(masks)[1:])),
+    ("cone-not-open", "powerset-cone-step", hm, "inclusion_rows",
+     lambda masks: _rows(masks)[::-1]),
+    ("power-value-mismatch", "powerset-cone-step", hm.Hierarchy, "power_element",
+     lambda self, x: hm.MElem(_power(self, x).value - {x.value}, x.level + 1)),
+    # only the top level's powers, one past the depth, are refused
+    ("power-not-member", "powerset-cone-step", hm.Hierarchy, "member_level",
+     lambda self, v, n: n <= 3 and _member(self, v, n)),
+    ("power-not-materialized", "powerset-cone-step", hm.HierarchyLevel, "value_set",
+     property(lambda self: frozenset(self.values[1:]))),
+    ("carrier-power-mismatch", "powerset-cone-step", hm.Hierarchy, "power_element",
+     lambda self, x: (hm.MElem(frozenset(), 2) if x == (frozenset(self.base.labels), 1)
+                      else _power(self, x))),
+    ("level-power-mismatch", "powerset-cone-step", hm.Hierarchy, "power_element",
+     lambda self, x: (hm.MElem(frozenset(), x.level + 1) if _whole_level(self, x)
+                      else _power(self, x))),
+]
+
+
+@pytest.mark.parametrize("kind, suite, target, attr, fault", WITNESS_FAULTS,
+                         ids=[f[0] for f in WITNESS_FAULTS])
+def test_seeded_fault_yields_its_witness_kind(monkeypatch, kind, suite, target, attr,
+                                              fault):
+    monkeypatch.setattr(target, attr, fault)
+    report = run_suite(SuiteConfig(suites=(suite,), max_size=2))
+    hits = [cx for cx in report.failures if cx.witness.get("kind") == kind]
+    assert hits
+    blob = json.loads(json.dumps(hits[0].to_blob()))
     assert replay(blob) is False
     monkeypatch.undo()
     assert replay(blob) is True
@@ -829,6 +911,24 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
     assert len(fns) == 4
     assert _BLOCK * len(fns) >= max(sizes) > _BLOCK
     assert [c._memo for c in contexts] == [None]
+
+
+def test_hierarchy_scoped_models_are_checked_one_at_a_time(monkeypatch):
+    # a model that a size-limited suite checks builds its level hierarchy,
+    # so it is a block of its own: the memo then holds that one model's
+    # facts; the models past every limit share blocks as before
+    real_once = RunContext.once
+    held: dict[int, set[int]] = {}
+
+    def spy(self, fn, p, **tables):
+        out = real_once(self, fn, p, **tables)
+        held.setdefault(p.n, set()).add(len({key[1] for key in self._memo}))
+        return out
+    monkeypatch.setattr(RunContext, "once", spy)
+    assert run_suite(SuiteConfig(max_size=4)).passed
+    assert sorted(held) == [1, 2, 3, 4]
+    assert all(held[n] == {1} for n in range(1, HIER_MAX_N + 1))
+    assert max(held[4]) > 1
 
 
 def test_each_model_builds_at_most_two_closure_tables(monkeypatch):
