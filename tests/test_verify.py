@@ -479,7 +479,7 @@ WITNESS_FAULTS = [
      lambda self, x: hm.MElem(_power(self, x).value - {x.value}, x.level + 1)),
     # only the top level's powers, one past the depth, are refused
     ("power-not-member", "powerset-cone-step", hm.Hierarchy, "member_level",
-     lambda self, v, n: n <= 3 and _member(self, v, n)),
+     lambda self, v, n: n <= SuiteConfig().depth and _member(self, v, n)),
     ("power-not-materialized", "powerset-cone-step", hm.HierarchyLevel, "value_set",
      property(lambda self: frozenset(self.values[1:]))),
     ("carrier-power-mismatch", "powerset-cone-step", hm.Hierarchy, "power_element",
