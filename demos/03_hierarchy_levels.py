@@ -18,7 +18,7 @@ for lv in levels[:2]:
 print("level 1 ∩ level 2 empty?",
       not levels[0].value_set & levels[1].value_set)
 print("level 1 as a member of level 2?",
-      levels[0].as_element().value in levels[1].value_set)
+      levels[0].value_set in levels[1].value_set)
 print("rank of every member equals its level?",
       all(hf_rank(v) == lv.index for lv in levels for v in lv.values))
 

@@ -257,10 +257,11 @@ MUTANTS = (
      "self.member_level(frozenset(slices[k]), k + 1)",
      "self.member_level(frozenset(slices[k]), k)",
      "tests/test_hierarchy.py"),
-    # the config guards against one string and an empty selection, removed
+    # the config guards against a non-tuple (one string among them) and an
+    # empty selection, removed
     ("src/magmas/verify.py",
-     "        if isinstance(self.suites, str):\n",
-     "        if False:\n",
+     "        if (not isinstance(self.suites, (tuple, list))\n",
+     "        if (False\n",
      "tests/test_verify.py"),
     ("src/magmas/verify.py",
      "        if not self.suites:\n",
@@ -321,6 +322,51 @@ MUTANTS = (
      "msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc",
      "msg = exc",
      "tests/test_cli.py"),
+    # the union criteria read from the membership answer: a limit member
+    # always unmixed, the tier test without its rank test, level 1 two steps
+    # above a tier
+    ("src/magmas/hierarchy.py",
+     "unmixed = 1 not in mem.slice_levels",
+     "unmixed = True",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "all(self.rank(y) >= 2 and self._cone(y, self.rank(y)) <= v for y in v)",
+     "all(self._cone(y, self.rank(y)) <= v for y in v)",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "tier = unmixed = mem.level >= 2",
+     "tier = unmixed = mem.level >= 1",
+     "tests/test_hierarchy.py"),
+    # the bounded generator masks compared the wrong way round; suites of
+    # any iterable type taken
+    ("src/magmas/verify.py",
+     "if sym.gen_subset(g1, g2) != (not m1 & ~m2):",
+     "if sym.gen_subset(g1, g2) != (not m2 & ~m1):",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "                or not all(type(s) is str for s in self.suites)):",
+     "                or False):",
+     "tests/test_verify.py"),
+    # survivors of a sweep of hierarchy.py, killed by tests added for them:
+    # atoms rendered after the empty set, the outside and undecided texts
+    # swapped, a level of exactly the growth cap refused, one slice at the
+    # bound called undecided
+    ("src/magmas/hierarchy.py",
+     "len(y) if isinstance(y, frozenset) else 0,",
+     "len(y) if isinstance(y, frozenset) else 1,",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     'if self.kind == "outside":',
+     'if self.kind != "outside":',
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "if len(lv) > self.growth_cap:",
+     "if len(lv) >= self.growth_cap:",
+     "tests/test_hierarchy.py"),
+    ("src/magmas/hierarchy.py",
+     "return _OUTSIDE if present[0] + 1 <= bound else _UNDECIDED",
+     "return _OUTSIDE if present[0] + 1 < bound else _UNDECIDED",
+     "tests/test_hierarchy.py"),
 )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .preorder import (AtomSet, CapExceeded, PreOrder, bits, downset_masks, format_set,
                        mask_order)
@@ -136,9 +136,6 @@ class HierarchyLevel:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __iter__(self) -> Iterator[frozenset]:
-        return iter(self.values)
-
     @cached_property
     def sub_rows(self) -> tuple[AtomSet, ...]:
         """sub_rows[i] = mask of the elements included in element i."""
@@ -147,10 +144,6 @@ class HierarchyLevel:
     @cached_property
     def value_set(self) -> frozenset:
         return frozenset(self.values)
-
-    def as_element(self) -> MElem:
-        """The whole level as a member of the next level."""
-        return MElem(frozenset(self.values), self.index + 1)
 
     def __repr__(self) -> str:
         return f"HierarchyLevel({self.index}, size={len(self.masks)})"
@@ -243,13 +236,15 @@ class Hierarchy:
         self._levels: list[HierarchyLevel] = []
         # value -> its level, or 0 if not a member of level rank(value)
         self._member_cache: dict[frozenset, int] = {}
-        self._cone_cache: dict[tuple[frozenset, int], frozenset] = {}
+        # level-n value -> its level-n cone; a level-n value has rank n
+        self._cone_cache: dict[frozenset, frozenset] = {}
         self._rank_cache: dict[frozenset, int] = {}
 
     # --- level construction ------------------------------------------------
 
     def level(self, n: int) -> HierarchyLevel:
-        self.build(n)
+        if not 0 < n <= len(self._levels):
+            self.build(n)
         return self._levels[n - 1]
 
     @property
@@ -315,11 +310,10 @@ class Hierarchy:
 
     def _cone(self, y: frozenset, n: int) -> frozenset:
         """The level-n elements included in y (y itself a level-n value)."""
-        key = (y, n)
-        hit = self._cone_cache.get(key)
+        hit = self._cone_cache.get(y)
         if hit is None:
             hit = frozenset(z for z in self.level(n).values if z <= y)
-            self._cone_cache[key] = hit
+            self._cone_cache[y] = hit
         return hit
 
     def finite_level_of(self, v: HF, bound: int) -> int | None:
@@ -337,9 +331,10 @@ class Hierarchy:
 
         The limit route needs every member to sit at a decided finite
         level; a member whose rank exceeds the bound leaves the query
-        undecided. For values whose members all have decided finite
-        levels the outcome is conclusive for the whole hierarchy: tiers
-        past the limit successor need genuinely limit-level members.
+        undecided. The answer covers the finite levels and the limit
+        successor only: a member with no finite level and rank within the
+        bound gives "outside", even when that member is itself a limit
+        member, so a member of a later tier reads "outside" too.
         """
         _check_bound(bound)
         if not isinstance(v, frozenset) or not v:
@@ -382,29 +377,18 @@ class Hierarchy:
         union = hf_union(v) if isinstance(v, frozenset) else frozenset()
         umem = self.membership(union, bound)
         decided = mem.in_m and umem.kind != "undecided"
-        tier = self._criterion_tier(v, mem)
-        crit_union = umem.in_m
-        unmixed = self._criterion_unmixed(v, mem, bound)
-        return UnionReport(mem, union, umem, tier, crit_union, unmixed, decided)
-
-    def _criterion_tier(self, v: HF, mem: Membership) -> bool:
         if mem.kind == "level":
-            return mem.level >= 2
-        if mem.kind == "limit":
-            # two steps above the limit: members must clear the bottom
-            # level and their inclusion cones must close up inside v; each
-            # member of a limit member sits at the level of its rank
-            if any(self.rank(y) < 2 for y in v):
-                return False
-            return all(self._cone(y, self.rank(y)) <= v for y in v)
-        return False
-
-    def _criterion_unmixed(self, v: HF, mem: Membership, bound: int) -> bool:
-        if not mem.in_m or mem.kind == "level" and mem.level == 1:
-            return False
-        # v is in M within bound, so each member has a finite level within it
-        levels = [self.finite_level_of(y, bound) for y in v]
-        return all(ly == 1 for ly in levels) or all(ly >= 2 for ly in levels)
+            # a level-n member's members all sit at level n - 1
+            tier = unmixed = mem.level >= 2
+        elif mem.kind == "limit":
+            # two steps above the limit: members clear the bottom level and
+            # their inclusion cones close up inside v; each member of a
+            # limit member sits at the level of its rank
+            tier = all(self.rank(y) >= 2 and self._cone(y, self.rank(y)) <= v for y in v)
+            unmixed = 1 not in mem.slice_levels
+        else:
+            tier = unmixed = False
+        return UnionReport(mem, union, umem, tier, umem.in_m, unmixed, decided)
 
     # --- reformulated magma principles ---------------------------------------
 

@@ -74,8 +74,10 @@ class SuiteConfig:
         if not 3 <= self.symbolic_depth <= sym.DEPTH_CAP:
             raise ConfigError(f"symbolic_depth must be in 3..{sym.DEPTH_CAP} "
                               f"(symbolic.DEPTH_CAP), got {self.symbolic_depth}")
-        if isinstance(self.suites, str):
-            raise ConfigError(f"suites must be a tuple of suite ids, not the string "
+        if (not isinstance(self.suites, (tuple, list))
+                or not all(type(s) is str for s in self.suites)):
+            what = "the string " if isinstance(self.suites, str) else ""
+            raise ConfigError(f"suites must be a tuple of suite ids, not {what}"
                               f"{self.suites!r}")
         if not self.suites:
             raise ConfigError("no suites selected")
@@ -412,9 +414,8 @@ def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]
         if not li.values:
             out.append({"kind": "empty-level", "level": li.index})
     for li in levels[:-1]:
-        whole = li.as_element()
         nxt = levels[li.index]  # levels[k] has index k+1
-        if whole.value not in nxt.value_set:
+        if li.value_set not in nxt.value_set:
             out.append({"kind": "level-not-member-of-next", "level": li.index})
         if li.value_set == nxt.value_set:
             out.append({"kind": "fixed-point", "level": li.index})
@@ -683,13 +684,20 @@ def _chk_gen_subset_semantics(model: sym.SymbolicPreOrder, name: str,
     rng = ctx.rng("generator-subset-semantics", name)
     size = 50 if model.name == "prefix" else 20
     pool = _gen_pool(model, rng, depth, size)
-    # bounded member sets, read once per generator; inclusion of them is the
-    # semantic side of each pair
-    members = [frozenset(sym.members_up_to(g, depth)) for g in pool]
+    # bounded members, read once per generator as a mask over atoms_up_to;
+    # inclusion of them is the semantic side of each pair. A member outside
+    # atoms_up_to raises, and the run reports that as an exception witness.
+    index = {a: i for i, a in enumerate(model.atoms_up_to(depth))}
+    masks = []
+    for g in pool:
+        m = 0
+        for a in sym.members_up_to(g, depth):
+            m |= 1 << index[a]
+        masks.append(m)
     out = []
-    for g1, m1 in zip(pool, members):
-        for g2, m2 in zip(pool, members):
-            if sym.gen_subset(g1, g2) != (m1 <= m2):
+    for g1, m1 in zip(pool, masks):
+        for g2, m2 in zip(pool, masks):
+            if sym.gen_subset(g1, g2) != (not m1 & ~m2):
                 out.append({"g1": _render_gens(g1), "g2": _render_gens(g2)})
     return out
 

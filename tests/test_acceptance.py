@@ -145,7 +145,7 @@ def test_criterion_06_hierarchy_structure(models_by_size):
                     violations.append((name, "overlap", li.index, lj.index))
         for li in levels[:-1]:
             nxt = levels[li.index]
-            if li.as_element().value not in nxt.value_set:
+            if li.value_set not in nxt.value_set:
                 violations.append((name, "level not member of next", li.index))
             if li.value_set == nxt.value_set:
                 violations.append((name, "fixed point", li.index))

@@ -1,11 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmas import topology as tp
 from magmas.cli import main
 
 CHAIN = "atoms: a b c\na <= b\nb <= c\n"
+CHAIN_PO = str(Path(__file__).parent.parent / "demos" / "chain.po")
 ANTI = "atoms: a b\n"
 
 
@@ -222,3 +228,54 @@ def test_verify_names_an_empty_suite(capsys):
     # a trailing comma leaves an empty suite name, shown quoted
     code, _, err = run(capsys, "verify", "--suites", "closure-idempotence,")
     assert code == 2 and "unknown suites: ''" in err
+
+
+# argv over the file commands on the demo chain, the symbolic command, and a
+# small verify: each command's own options, given mostly with a value, among
+# words that are valid somewhere and short text with no "o" (so no
+# abbreviation of --out)
+FLAGS = {
+    "check": (),
+    "opens": ("--minimal", "--count"),
+    "shift": ("--x", "--y", "--pr-plus"),
+    "member": ("--value", "--bound"),
+    "hierarchy": ("--levels", "--print"),
+    "symbolic": ("--model", "--gens", "--other", "--atom", "--depth", "--seed"),
+    "verify": ("--depth", "--seed", "--symbolic-depth", "--format"),
+}
+SWITCHES = {"--minimal", "--count", "--print"}
+words = st.sampled_from(["{a}", "{a,b}", "{}", "a", "z", "{{a}}", "{{a},{a,b}}", "{a,{a}}",
+                         "-1", "0", "1", "2", "3", "0,11", "01", "prefix", "clustered:2",
+                         "clustered:x", "json", "text"]) | st.text(alphabet="abc01{},-:# ",
+                                                                   max_size=4)
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(sorted(FLAGS)))
+    if cmd == "verify":
+        argv = [cmd, "--suites", "closure-idempotence",
+                "--max-size", str(draw(st.integers(-1, 2)))]
+    elif cmd == "symbolic":
+        argv = [cmd, draw(st.sampled_from(["member", "subset", "shrink", "validate"])
+                          | words)]
+    else:
+        argv = [cmd, CHAIN_PO]
+    for flag in draw(st.lists(st.sampled_from(FLAGS[cmd]), max_size=4)) if FLAGS[cmd] else ():
+        argv += [flag] if flag in SWITCHES else [flag, draw(words)]
+    if draw(st.integers(0, 4)) == 0:  # now and then a stray word
+        argv.append(draw(words))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_cli_exits_0_1_or_2_without_a_traceback(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv, or --help
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

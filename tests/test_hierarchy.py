@@ -105,6 +105,22 @@ def test_parse_rejects_bad_literals(bad):
         parse_value(bad)
 
 
+def test_render_sorts_rank_zero_members_by_text():
+    # atoms and the empty set share rank 0 and size 0, so text decides
+    assert render_value(frozenset({"a", frozenset()})) == "{a,{}}"
+    assert render_value(frozenset({"~", frozenset()})) == "{{},~}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="{},ab \t\n", max_size=40))
+def test_parse_value_answers_or_refuses(text):
+    try:
+        v = parse_value(text)
+    except ValueError:
+        return
+    assert parse_value(render_value(v)) == v
+
+
 def test_parse_nesting_cap():
     deep = "{" * MAX_NESTING + "a" + "}" * MAX_NESTING
     assert hf_rank(parse_value(deep)) == MAX_NESTING
@@ -207,7 +223,7 @@ def test_levels_disjoint_and_nested(models_by_size):
                     assert not li.value_set & lj.value_set
             for li in levels[:-1]:
                 nxt = levels[li.index]
-                assert li.as_element().value in nxt.value_set
+                assert li.value_set in nxt.value_set
                 assert li.value_set != nxt.value_set  # no fixed point
 
 
@@ -233,6 +249,13 @@ def test_growth_cap(antichain3):
     assert len(h.build(3)[2]) == 81  # |M2| = 18 is within the default cap
     with pytest.raises(CapExceeded):
         h.build(4)
+
+
+def test_growth_cap_admits_a_level_of_exactly_the_cap(antichain2):
+    h = h_of(antichain2, growth_cap=3)
+    assert [len(lv) for lv in h.build(2)] == [3, 4]  # level 1 has 3 elements
+    with pytest.raises(CapExceeded, match="level 2 has 4 elements"):
+        h.build(3)
 
 
 def test_bottom_level_outside_level2(antichain2):
@@ -463,6 +486,22 @@ def test_membership_decisive_within_bound(antichain2):
     assert h.membership(not_open, 3).kind == "outside"
 
 
+def test_one_slice_is_outside_at_the_bound_and_undecided_past_it(antichain2):
+    h = h_of(antichain2)
+    v = parse_value("{{a,b}}")  # its member {a,b} lies over {a}, which is missing
+    assert h.membership(v, 2).kind == "outside"
+    assert h.membership(v, 1).kind == "undecided"
+
+
+def test_membership_describe(antichain2):
+    h = h_of(antichain2)
+    mixed = frozenset({parse_value("{a}"), parse_value("{{a}}")})
+    assert [h.membership(v, 3).describe() for v in
+            (parse_value("{a}"), mixed, "a", parse_value("{{{{a}}}}"))] == [
+        "level 1", "limit+1 (bounded; slices at levels 1,2)",
+        "not a magma (within bound)", "undecided (bound too small)"]
+
+
 def test_slices_must_all_pass(chain3):
     h = h_of(chain3)
     # {a} is minimal, so {{a}} is a level-2 member; {a,b} is not minimal,
@@ -471,6 +510,31 @@ def test_slices_must_all_pass(chain3):
     assert h.membership(good, 3).kind == "limit"
     bad = frozenset({parse_value("{a,b}"), parse_value("{{a}}")})
     assert h.membership(bad, 3).kind == "outside"
+
+
+def one_atom_tiers():
+    """On the carrier {a}: a member u of M_{omega+1}, and the set of u's
+    subsets that lie in M_{omega+1}, a nonempty down-closed set of that tier
+    under inclusion, so a member of M_{omega+2}."""
+    x1 = hset("a")
+    x2 = frozenset({x1})
+    x3, u = frozenset({x2}), frozenset({x1, x2})
+    return h_of(build("a")), u, frozenset({x2, x3, u})
+
+
+def test_one_atom_limit_member():
+    h, u, _ = one_atom_tiers()
+    mem = h.membership(u, 3)
+    assert mem.kind == "limit" and mem.slice_levels == (1, 2)
+
+
+@pytest.mark.xfail(strict=True, reason="membership decides nothing past the limit "
+                                       "successor, and calls its members outside")
+def test_member_of_the_second_tier_past_the_limit_is_not_outside():
+    h, _, p = one_atom_tiers()
+    for b in range(3, 7):
+        assert h.membership(p, b).kind != "outside"
+        assert h.classify(p, b) != "set"
 
 
 # --- powerset ------------------------------------------------------------------

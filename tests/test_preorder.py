@@ -3,13 +3,13 @@ import hashlib
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from magmas import (CapExceeded, PreOrder, build, count_preorders,
                     enumerate_preorders, format_atom_set, format_preorder,
                     parse_atom_set, parse_preorder)
-from magmas.preorder import bits, default_labels
+from magmas.preorder import bits, default_labels, load_preorder
 
 from oracles import (closure_pairs, count_posets, count_posets_by_relations,
                      count_preorders_by_partition, preds, preorder_rows_by_pattern, succs,
@@ -329,6 +329,20 @@ def test_parse_preorder_raises_only_value_error(text):
     except ValueError:
         return
     assert parse_preorder(format_preorder(p)) == p
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(format_texts.map(str.encode) | st.binary(max_size=40))
+def test_load_preorder_answers_or_refuses(tmp_path, data):
+    # one file, rewritten for each example
+    path = tmp_path / "model.po"
+    path.write_bytes(data)
+    try:
+        p = load_preorder(str(path))
+    except (ValueError, OSError):
+        return
+    assert isinstance(p, PreOrder)
 
 
 @settings(max_examples=200, deadline=None)

@@ -251,6 +251,34 @@ def test_from_blob_raises_only_value_error(blob):
     assert Counterexample.from_blob(cx.to_blob()) == cx
 
 
+def test_config_refuses_suites_that_are_not_a_tuple_of_ids():
+    for bad in (-1, True, None, 2.5, {"all"}, ("all", 1), [b"all"]):
+        with pytest.raises(ConfigError, match="suites must be a tuple of suite ids"):
+            SuiteConfig(suites=bad).validate()
+    SuiteConfig(suites=["all"]).validate()  # a list of ids is accepted
+
+
+config_values = (st.integers(-3, 10) | st.booleans() | st.none() | st.floats(-2, 9)
+                 | st.text(max_size=4) | st.sampled_from(["all", *SUITES])
+                 | st.lists(st.sampled_from(["all", *SUITES]) | st.text(max_size=3)
+                            | st.integers(), max_size=3)
+                 | st.lists(st.sampled_from(["all", *SUITES]), max_size=3).map(tuple))
+config_fields = st.fixed_dictionaries(
+    {}, optional={f: config_values for f in ("suites", "max_size", "depth",
+                                             "symbolic_depth", "seed")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_fields)
+def test_config_validate_raises_only_config_error(fields):
+    cfg = SuiteConfig(**fields)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    assert cfg.selected()
+
+
 def test_symbolic_depth_is_capped():
     SuiteConfig(symbolic_depth=sym.DEPTH_CAP).validate()
     with pytest.raises(ConfigError, match=r"3\.\.16 \(symbolic\.DEPTH_CAP\), got 17"):
@@ -592,6 +620,22 @@ def test_non_open_mask_in_open_masks_is_caught(monkeypatch):
     witnesses = [cx.witness for cx in report.failures]
     assert {"kind": "union", "x": "{b}", "y": "{b}"} in witnesses
     blob = json.loads(json.dumps(report.failures[0].to_blob()))
+    assert replay(blob) is False
+    monkeypatch.undo()
+    assert replay(blob) is True
+
+
+def test_bounded_member_outside_the_atom_list_is_an_exception(monkeypatch):
+    # a bounded member one step deeper than the run's depth is not among
+    # atoms_up_to(depth), so reading it as a mask raises
+    real = sym.members_up_to
+    monkeypatch.setattr(sym, "members_up_to",
+                        lambda g, depth: [*real(g, depth), "0" * (depth + 1)])
+    report = run_suite(SuiteConfig(suites=("generator-subset-semantics",)))
+    cx = report.failures[0]
+    assert (cx.model, cx.witness["kind"], cx.witness["type"]) == \
+        ("prefix", "exception", "KeyError")
+    blob = json.loads(json.dumps(cx.to_blob()))
     assert replay(blob) is False
     monkeypatch.undo()
     assert replay(blob) is True
