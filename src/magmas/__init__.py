@@ -26,7 +26,6 @@ from .topology import (
     enumerate_opens,
     is_lower_open,
     is_minimal_open,
-    is_saturated,
     minimal_opens,
 )
 from .shifting import (
@@ -51,7 +50,6 @@ from .symbolic import (
     gen_union,
     members_up_to,
     model_by_name,
-    normalize,
     strict_shrink,
     validate_model,
 )

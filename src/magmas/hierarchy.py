@@ -155,8 +155,10 @@ class Membership:
 
     kind is "level" (finite level ``level``), "limit" (member of the
     bounded limit-successor tier, spanning the slice levels listed),
-    "outside" (decisively not a magma at desk scale), or "undecided"
-    (some member's level exceeds the bound).
+    "outside" (in no finite level and not in the limit successor, decided
+    with no later tier), or "undecided" (some member's level exceeds the
+    bound, or the decision needs a tier past the limit successor, which
+    the library does not build).
     """
 
     kind: str
@@ -330,11 +332,12 @@ class Hierarchy:
         """Bounded decision: finite level, limit-successor member, or neither.
 
         The limit route needs every member to sit at a decided finite
-        level; a member whose rank exceeds the bound leaves the query
-        undecided. The answer covers the finite levels and the limit
-        successor only: a member with no finite level and rank within the
-        bound gives "outside", even when that member is itself a limit
-        member, so a member of a later tier reads "outside" too.
+        level. A member that is an atom or "outside" itself puts v
+        outside, whatever its other members are. Otherwise a member whose
+        rank exceeds the bound leaves the query undecided, and so does a
+        member with no finite level that is not "outside": a limit member
+        puts v outside M_{omega+1} but maybe inside M_{omega+2}, and the
+        library builds no tier past the limit successor.
         """
         _check_bound(bound)
         if not isinstance(v, frozenset) or not v:
@@ -343,13 +346,21 @@ class Hierarchy:
         if n is not None:
             return _at_level(n)
         slices: dict[int, list] = {}  # level -> the members at that level
+        # an outside member decides wherever it sits, so every member is
+        # scanned; the rank test keeps the recursion below the bound
+        undecided = False
         for y in v:
             if not isinstance(y, frozenset):
                 return _OUTSIDE
             ly = self.finite_level_of(y, bound)
-            if ly is None:
-                return _OUTSIDE if self.rank(y) <= bound else _UNDECIDED
-            slices.setdefault(ly, []).append(y)
+            if ly is not None:
+                slices.setdefault(ly, []).append(y)
+            elif self.rank(y) > bound or self.membership(y, bound).kind != "outside":
+                undecided = True
+            else:
+                return _OUTSIDE
+        if undecided:
+            return _UNDECIDED
         present = sorted(slices)
         if len(present) < 2:
             # one slice: finite membership was already refuted up to the

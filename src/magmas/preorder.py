@@ -113,22 +113,6 @@ class PreOrder:
             self._check_atom(a)
         return self.pred[a] & self.succ[a]
 
-    def equiv_classes(self) -> list[AtomSet]:
-        """Partition of the carrier into mutual-dependence classes.
-
-        Ordered by least member; two atoms share a class exactly when
-        their predecessor cones coincide.
-        """
-        seen = 0
-        out = []
-        for a in range(self.n):
-            if seen >> a & 1:
-                continue
-            cls = self.pred[a] & self.succ[a]
-            seen |= cls
-            out.append(cls)
-        return out
-
     def satisfies_star(self) -> tuple[bool, int | None]:
         """Does every atom have a strict predecessor?
 

@@ -250,21 +250,6 @@ def strict_shrink(g: GenOpen) -> GenOpen:
     return GenOpen(g.model, g.level, (strict_shrink(first),))
 
 
-def normalize(g: GenOpen) -> GenOpen:
-    """Drop generators absorbed by another generator's cone; of mutually
-    absorbed generators the first is kept.
-
-    The cones are read through the level's relation: the model's ``leq``
-    at level 1, and inclusion one level down above it.
-    """
-    leq = g.model.leq if g.level == 1 else gen_subset
-    gens = g.generators
-    kept = tuple(a for i, a in enumerate(gens)
-                 if not any(leq(a, b) and not (leq(b, a) and j > i)
-                            for j, b in enumerate(gens) if j != i))
-    return GenOpen(g.model, g.level, kept)
-
-
 def members_up_to(g: GenOpen, depth: int) -> list[object]:
     """The atoms of bounded depth in a level-1 generated open, in
     ``atoms_up_to`` order, as the model's ``cones_up_to`` lists them.

@@ -2,7 +2,7 @@
 
 A set is lower open when it contains the predecessor cone of each of its
 members. The nonempty lower-open sets are the level-1 magmas; this module
-enumerates them, finds the minimal ones, and checks saturation.
+enumerates them and finds the minimal ones.
 
 A minimal open is a predecessor cone equal to the cone of each of its
 members, so :func:`minimal_opens` reads them with :func:`constant_rows`,
@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .preorder import AtomSet, CapExceeded, PreOrder, bits, downset_masks, mask_order
+from .preorder import AtomSet, CapExceeded, PreOrder, downset_masks, mask_order
 
 CARRIER_CAP = 12  # carrier size past which a walk over all 2^n subsets stops
 
@@ -212,7 +212,3 @@ def minimal_opens(p: PreOrder) -> list[AtomSet]:
     """
     return sorted(constant_rows(p.pred), key=mask_order)
 
-
-def is_saturated(p: PreOrder, s: AtomSet) -> bool:
-    """Closed under mutual dependence: members bring their whole class."""
-    return all(not p.pred[a] & p.succ[a] & ~s for a in bits(s))

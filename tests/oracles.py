@@ -147,6 +147,13 @@ def up_closed(rel, s):
     return all(b in s for (a, b) in rel if a in s)
 
 
+def class_leaks(rel, s):
+    """The b outside s that depend mutually on some a in s: (a, b) and
+    (b, a) both in rel. Empty exactly when s holds the whole class of
+    each of its members."""
+    return {b for (a, b) in rel if a in s and b not in s and (b, a) in rel}
+
+
 def duality_failures_of(rel, carrier):
     """The subsets s of the carrier where "s is down-closed" and "the rest
     of the carrier is up-closed" disagree.

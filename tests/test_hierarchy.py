@@ -1,11 +1,16 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magmas
 from magmas import (CapExceeded, Hierarchy, MElem, Membership, PreOrder, build,
                     enumerate_opens, hf_rank, hf_union)
 from magmas.hierarchy import (MAX_NESTING, find_open_partition, parse_value, render_value,
@@ -478,12 +483,21 @@ def test_membership_undecided_past_bound(antichain2):
     assert h.membership(deep, 3).kind == "undecided"
     tall_member = frozenset({parse_value("{a}"), parse_value("{{{a}}}")})
     assert h.membership(tall_member, 2).kind == "undecided"
+    # a member of rank 3 over bound 2 leaves the value undecided, even one
+    # that bound 3 shows to be outside
+    mixed_tall = parse_value("{{a,{{a}}}}")
+    assert h.membership(mixed_tall, 2).kind == "undecided"
+    assert h.membership(mixed_tall, 3).kind == "outside"
 
 
 def test_membership_decisive_within_bound(antichain2):
     h = h_of(antichain2)
     not_open = frozenset({parse_value("{{a},{a,b}}")})  # member not in M
     assert h.membership(not_open, 3).kind == "outside"
+    # a member with no finite level that mixes an atom and a set
+    for b in range(2, 5):
+        assert h.membership(parse_value("{{a,{a}}}"), b).kind == "outside"
+        assert h.membership(parse_value("{{b},{a,{{a}}}}"), b + 1).kind == "outside"
 
 
 def test_one_slice_is_outside_at_the_bound_and_undecided_past_it(antichain2):
@@ -528,13 +542,40 @@ def test_one_atom_limit_member():
     assert mem.kind == "limit" and mem.slice_levels == (1, 2)
 
 
-@pytest.mark.xfail(strict=True, reason="membership decides nothing past the limit "
-                                       "successor, and calls its members outside")
 def test_member_of_the_second_tier_past_the_limit_is_not_outside():
     h, _, p = one_atom_tiers()
     for b in range(3, 7):
         assert h.membership(p, b).kind != "outside"
         assert h.classify(p, b) != "set"
+        # a member that is itself undecided leaves its holder undecided
+        assert h.membership(frozenset({p}), b).kind == "undecided"
+
+
+# each value holds a member that decides "outside" (an atom, or a set mixing
+# an atom and a set) beside one that alone would leave it undecided (a limit
+# member, a second-tier member, a member too deep for the bound)
+_ORDER_PROBE = """
+from magmas import build, Hierarchy
+from magmas.hierarchy import parse_value
+h = Hierarchy(build("a"))
+u = "{{a},{{a}}}"
+p = "{{{a}},{{{a}}}," + u + "}"
+for text, bound in (("{a," + u + "}", 3), ("{" + p + ",{a,{a}}}", 5),
+                    ("{a,{{{{a}}}}}", 2)):
+    v = parse_value(text)
+    print(h.membership(v, bound).kind, h.classify(v, bound))
+"""
+
+
+def test_an_outside_member_decides_in_any_member_order():
+    # frozenset order follows the string hash seed, so each seed may meet
+    # the members in another order
+    src = str(Path(magmas.__file__).parents[1])
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _ORDER_PROBE], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == ["outside set"] * 3, (seed, out)
 
 
 # --- powerset ------------------------------------------------------------------

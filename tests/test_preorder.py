@@ -185,12 +185,6 @@ def test_cones_are_downward_closed(data):
             assert not p.predecessors(b) & ~cone
 
 
-def test_equiv_classes(chain3, antichain2, twocycle):
-    assert twocycle.equiv_classes() == [0b11]
-    assert antichain2.equiv_classes() == [0b01, 0b10]
-    assert chain3.equiv_classes() == [0b001, 0b010, 0b100]
-
-
 @settings(max_examples=100)
 @given(edge_lists())
 def test_same_class_iff_same_cone(data):

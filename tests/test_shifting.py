@@ -133,6 +133,7 @@ def test_connection_matches_literal_cone(models_by_size):
         assert [x for x, _ in found] == sorted(x for x, _ in found)
         got = {to_labels(p, x): (c.subset_dir, c.equality_when_open) for x, c in found}
         assert got == connection_failures(rel, p.labels), rows
+        assert not any(c.ok for _, c in found)  # a listed subset fails a half
         failing += bool(got)
     assert 1000 < failing < 2000
 

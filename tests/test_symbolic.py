@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from magmas import (GenOpen, binary_string_model, clustered_model, gen_equal,
                     gen_intersect, gen_member, gen_subset, gen_union,
-                    members_up_to, model_by_name, normalize, strict_shrink,
+                    members_up_to, model_by_name, strict_shrink,
                     validate_model)
 from magmas import symbolic as sym
 from oracles import bounded_members
@@ -68,6 +69,7 @@ def test_clustered_strict_pred_depth(clustered):
     for _ in range(50):
         a = clustered.random_atom(rng, 1, 6)
         assert clustered.strict(clustered.strict_pred(a), a)
+        assert clustered.strict_pred(a)[1] == 0  # a built atom takes tag 0
 
 
 def test_clustered_atom_rendering(clustered):
@@ -75,8 +77,9 @@ def test_clustered_atom_rendering(clustered):
     assert clustered.parse_atom("01#1") == ("01", 1)
     with pytest.raises(ValueError):
         clustered.parse_atom("01")
-    with pytest.raises(ValueError):
-        clustered.parse_atom("01#5")
+    for text in ("01#5", "01#2", "01#-1"):  # the cluster has tags 0 and 1
+        with pytest.raises(ValueError, match="outside"):
+            clustered.parse_atom(text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,13 +103,23 @@ def test_cluster_size_validation():
 def test_model_by_name(prefix):
     assert model_by_name("prefix").name == "prefix"
     assert model_by_name("clustered:3").name == "clustered:3"
-    with pytest.raises(ValueError):
-        model_by_name("nonsense")
+    for name in ("nonsense", "clustered:3:4"):
+        with pytest.raises(ValueError):
+            model_by_name(name)
 
 
 def test_validation_passes(prefix, clustered):
     assert validate_model(prefix, depth=6).ok
     assert validate_model(clustered, depth=5).ok
+
+
+def test_validation_catches_a_strict_pred_that_is_not_strict(prefix, clustered):
+    assert not prefix.strict("0", "0") and not clustered.strict(("0", 0), ("0", 1))
+    stuck = dataclasses.replace(prefix, strict_pred=lambda t: t)
+    v = validate_model(stuck, depth=3)
+    assert not v.ok
+    assert v.failures[0] == "strict_pred failed at 0"
+    assert all(f.startswith("strict_pred failed at") for f in v.failures)
 
 
 @pytest.mark.parametrize("depth", [0, -1, -3])
@@ -134,6 +147,8 @@ def test_gen_open_validation(prefix, clustered):
     with pytest.raises(ValueError):
         GenOpen(prefix, 0, ("0",))
     g = pr(prefix, "0")
+    with pytest.raises(ValueError, match="level-1 generators must be atoms"):
+        GenOpen(prefix, 1, (g,))
     with pytest.raises(ValueError):
         GenOpen(prefix, 3, (g,))  # level gap
     with pytest.raises(ValueError):
@@ -147,6 +162,8 @@ def test_gen_member_examples(prefix):
     assert gen_member(pr(prefix, "0", "11"), "110")
     with pytest.raises(ValueError):
         gen_member(g, pr(prefix, "0"))
+    with pytest.raises(ValueError, match="one level below"):
+        gen_member(GenOpen(prefix, 2, (g,)), "0")
 
 
 def test_gen_subset_examples(prefix):
@@ -229,16 +246,6 @@ def test_gen_intersect_level2_semantics(name):
     assert 0 < empty < len(cases)
 
 
-@pytest.mark.parametrize("name", ["prefix", "clustered:2"])
-def test_normalize_level2_keeps_the_set(name):
-    cases, _ = level2_cases(model_by_name(name), f"normalize2:{name}", 40)
-    for g1, g2 in cases:
-        g = gen_union(g1, g2)
-        slim = normalize(g)
-        assert gen_equal(slim, g)
-        assert set(slim.generators) <= set(g.generators)
-
-
 def test_strict_shrink_examples(prefix):
     g = pr(prefix, "0")
     s = strict_shrink(g)
@@ -268,18 +275,6 @@ def test_level2_membership(prefix):
     assert gen_member(cone, pr(prefix, "00"))
     assert gen_member(cone, pr(prefix, "01", "001"))
     assert not gen_member(cone, pr(prefix, "1"))
-
-
-def test_normalize_drops_absorbed(prefix):
-    g = pr(prefix, "0", "00", "1")
-    slim = normalize(g)
-    assert set(slim.generators) == {"0", "1"}
-    assert gen_equal(slim, g)
-    dup = pr(prefix, "0", "0")
-    assert normalize(dup).generators == ("0",)
-    g2 = GenOpen(prefix, 2, (pr(prefix, "00"), pr(prefix, "0"), pr(prefix, "1"),
-                             pr(prefix, "0", "01")))
-    assert [x.generators for x in normalize(g2).generators] == [("0",), ("1",)]
 
 
 def test_members_up_to_monotone(prefix):

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from magmas import (CapExceeded, build, down_closure, enumerate_opens, is_lower_open,
-                    is_minimal_open, is_saturated, minimal_opens)
+                    is_minimal_open, minimal_opens)
 from magmas.preorder import PreOrder, bits, enumerate_preorders, mask_order
 from magmas.topology import (closure_table, constant_rows, downset_masks, duality_failures,
                              inclusion_rows, subset_families)
 
-from oracles import (closure_pairs, duality_failures_of, inclusion_rows_of, is_down_closed,
-                     literal_row_union, minimal_of, opens_of)
+from oracles import (class_leaks, closure_pairs, duality_failures_of, inclusion_rows_of,
+                     is_down_closed, literal_row_union, minimal_of, opens_of)
 
 NAMES = "abcdef"
 
@@ -223,11 +223,13 @@ def test_duality_failures_match_literal_closure_tests(models_by_size):
 
 
 def test_saturation(twocycle, models_by_size):
-    assert not is_saturated(twocycle, twocycle.atom_set("a"))
-    assert is_saturated(twocycle, 0)
-    for p in models_by_size[3]:
-        for s in enumerate_opens(p):
-            assert is_saturated(p, s)
+    # every open holds the whole mutual-dependence class of each member
+    assert class_leaks(pairs_of(twocycle), {"a"}) == {"b"}
+    for n in (1, 2, 3, 4):
+        for p in models_by_size[n]:
+            rel = pairs_of(p)
+            for s in enumerate_opens(p):
+                assert not class_leaks(rel, labelset(p, s)), (p.pred, s)
 
 
 def test_oracle_agrees_with_itself_on_minimality(chain3):
