@@ -330,8 +330,8 @@ MUTANTS = (
      "unmixed = True",
      "tests/test_hierarchy.py"),
     ("src/magmas/hierarchy.py",
-     "all(self.rank(y) >= 2 and self._cone(y, self.rank(y)) <= v for y in v)",
-     "all(self._cone(y, self.rank(y)) <= v for y in v)",
+     "all(self.rank(y) >= 2 and self.level(self.rank(y)).cones[y] <= v",
+     "all(self.level(self.rank(y)).cones[y] <= v",
      "tests/test_hierarchy.py"),
     ("src/magmas/hierarchy.py",
      "tier = unmixed = mem.level >= 2",
@@ -420,6 +420,94 @@ MUTANTS = (
      "if not isinstance(z, GenOpen) or z.level != g.level - 1:",
      "if not isinstance(z, GenOpen) and z.level != g.level - 1:",
      "tests/test_symbolic.py"),
+    # a level's inclusion cones without each element itself, which the
+    # power step's literal cone refutes
+    ("src/magmas/hierarchy.py",
+     "return {v: frozenset(values[j] for j in bits(row))",
+     "return {v: frozenset(values[j] for j in bits(row)) - {v}",
+     "tests/test_verify.py"),
+    # subsets-in-m-are-open back to one direction: an open subset that the
+    # library calls a non-member passes
+    ("src/magmas/verify.py",
+     "if in_m != is_open:",
+     "if in_m and not is_open:",
+     "tests/test_verify.py"),
+    # survivors of a sweep of preorder.py and verify.py, killed by tests
+    # added for them: leq and strict answering for the atom one past the
+    # carrier, default labels switching to a0.. at 26 atoms, parse errors
+    # numbering lines from 2, the least depth and symbolic depth refused, a
+    # raw row of 0 refused, overlap tested only between levels two apart,
+    # the last pair of levels not tested for nesting, a mixed family at
+    # depth 2 left empty or one at depth 1 drawn
+    ("src/magmas/preorder.py",
+     '"""a <= b, i.e. a depends on b."""\n        if not 0 <= a < self.n > b >= 0:',
+     '"""a <= b, i.e. a depends on b."""\n        if not 0 <= a <= self.n > b >= 0:',
+     "tests/test_preorder.py"),
+    ("src/magmas/preorder.py",
+     '"""a < b: a <= b but not b <= a."""\n        if not 0 <= a < self.n > b >= 0:',
+     '"""a < b: a <= b but not b <= a."""\n        if not 0 <= a <= self.n > b >= 0:',
+     "tests/test_preorder.py"),
+    ("src/magmas/preorder.py",
+     "if n <= len(_LETTERS):",
+     "if n < len(_LETTERS):",
+     "tests/test_preorder.py"),
+    ("src/magmas/preorder.py",
+     "enumerate(text.splitlines(), start=1)",
+     "enumerate(text.splitlines(), start=2)",
+     "tests/test_preorder.py"),
+    ("src/magmas/verify.py",
+     "if self.depth < 1:",
+     "if self.depth <= 1:",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "if not 3 <= self.symbolic_depth <= sym.DEPTH_CAP:",
+     "if not 3 < self.symbolic_depth <= sym.DEPTH_CAP:",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "r < 0 for r in rows",
+     "r <= 0 for r in rows",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "for lj in levels[i + 1:]:",
+     "for lj in levels[i + 2:]:",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "for li in levels[:-1]:\n        nxt = levels[li.index]",
+     "for li in levels[:-2]:\n        nxt = levels[li.index]",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "if depth < 2:",
+     "if depth < 3:",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "    if depth < 2:\n        return []\n",
+     "",
+     "tests/test_verify.py"),
+    # survivors of a sweep of the hierarchy suites and of the atom range
+    # check, killed by tests added for them: the top level's powers, the
+    # last whole level's power and the level-3 values of subsets-in-m not
+    # checked; the literal limit oracle taking a member that is no built
+    # value; an IndexError naming atom 0 when another atom is out of range
+    ("src/magmas/verify.py",
+     "if lv.index + 1 <= depth and pe.value not in",
+     "if lv.index + 1 < depth and pe.value not in",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "for li in levels[:-1]:\n        pw = h.power_element",
+     "for li in levels[:-2]:\n        pw = h.power_element",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "if k > 10 and lv.index + 1 <= depth:",
+     "if k > 10 and lv.index + 2 <= depth:",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "any(w in lv.value_set for lv in levels)",
+     "any(w not in lv.value_set for lv in levels)",
+     "tests/test_verify.py"),
+    ("src/magmas/preorder.py",
+     "if not 0 <= a < self.n:\n            raise IndexError",
+     "if not 1 <= a < self.n:\n            raise IndexError",
+     "tests/test_preorder.py"),
 )
 
 

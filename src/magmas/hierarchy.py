@@ -9,9 +9,9 @@ levels recursively and emulates the first limit level and its successor
 through the level-slice criterion, within an explicit bound.
 
 A decided value is remembered once, with its level (0 for a non-member),
-and inclusion cones are cached as frozensets, so a repeated query is one
-dictionary lookup. Answers that carry no per-call data (outside,
-undecided, level n) are shared instances.
+and each level's inclusion cones are read off its inclusion rows, once per
+level, so a repeated query is one dictionary lookup. Answers that carry no
+per-call data (outside, undecided, level n) are shared instances.
 """
 
 from __future__ import annotations
@@ -142,6 +142,13 @@ class HierarchyLevel:
         return inclusion_rows(self.masks)
 
     @cached_property
+    def cones(self) -> dict[frozenset, frozenset]:
+        """cones[v] = the elements included in element v, read off sub_rows."""
+        values = self.values
+        return {v: frozenset(values[j] for j in bits(row))
+                for v, row in zip(values, self.sub_rows)}
+
+    @cached_property
     def value_set(self) -> frozenset:
         return frozenset(self.values)
 
@@ -228,8 +235,9 @@ class Hierarchy:
     capped by ``topology.CARRIER_CAP``, later levels over the level below
     under inclusion, capped by growth_cap.
     Each decided value is memoized once with its level, or 0 when it is not
-    a member of the level of its rank; each inclusion cone is cached as a
-    frozenset and handed out uncopied.
+    a member of the level of its rank; inclusion cones are read off each
+    level's inclusion rows, once per level (:attr:`HierarchyLevel.cones`),
+    and handed out uncopied.
     """
 
     def __init__(self, base: PreOrder, *, growth_cap: int = GROWTH_CAP):
@@ -238,8 +246,6 @@ class Hierarchy:
         self._levels: list[HierarchyLevel] = []
         # value -> its level, or 0 if not a member of level rank(value)
         self._member_cache: dict[frozenset, int] = {}
-        # level-n value -> its level-n cone; a level-n value has rank n
-        self._cone_cache: dict[frozenset, frozenset] = {}
         self._rank_cache: dict[frozenset, int] = {}
 
     # --- level construction ------------------------------------------------
@@ -300,7 +306,7 @@ class Hierarchy:
             ok = self._member1(v)
         else:
             ok = (all(self.member_level(y, n - 1) for y in v)
-                  and all(self._cone(y, n - 1) <= v for y in v))
+                  and all(self.level(n - 1).cones[y] <= v for y in v))
         self._member_cache[v] = n if ok else 0
         return ok
 
@@ -309,14 +315,6 @@ class Hierarchy:
             return is_lower_open(self.base, self.base.atom_set(v))
         except KeyError:  # a member that is not an atom label
             return False
-
-    def _cone(self, y: frozenset, n: int) -> frozenset:
-        """The level-n elements included in y (y itself a level-n value)."""
-        hit = self._cone_cache.get(y)
-        if hit is None:
-            hit = frozenset(z for z in self.level(n).values if z <= y)
-            self._cone_cache[y] = hit
-        return hit
 
     def finite_level_of(self, v: HF, bound: int) -> int | None:
         """v's finite level if at most bound, else None; a level-n member has rank n."""
@@ -381,7 +379,7 @@ class Hierarchy:
         value, level = x
         if not self.member_level(value, level):
             raise ValueError(f"value is not a level-{level} member")
-        return MElem(self._cone(value, level), level + 1)
+        return MElem(self.level(level).cones[value], level + 1)
 
     def union_report(self, v: HF, bound: int) -> UnionReport:
         mem = self.membership(v, bound)
@@ -395,7 +393,8 @@ class Hierarchy:
             # two steps above the limit: members clear the bottom level and
             # their inclusion cones close up inside v; each member of a
             # limit member sits at the level of its rank
-            tier = all(self.rank(y) >= 2 and self._cone(y, self.rank(y)) <= v for y in v)
+            tier = all(self.rank(y) >= 2 and self.level(self.rank(y)).cones[y] <= v
+                       for y in v)
             unmixed = 1 not in mem.slice_levels
         else:
             tier = unmixed = False

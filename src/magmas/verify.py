@@ -424,14 +424,6 @@ def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]
             if h.rank(v) != li.index:
                 out.append({"kind": "rank-mismatch", "level": li.index,
                             "value": hm.render_value(v)})
-    if depth >= 2:
-        # the rank-2 fragment of the hierarchy strictly exceeds level 2:
-        # level-1 members live at rank <= 2 but never at level 2
-        l1, l2 = levels[0], levels[1]
-        extra = [v for v in l1.values if h.rank(v) <= 2
-                 and v not in l2.value_set]
-        if not extra:
-            out.append({"kind": "bottom-level-absorbed"})
     return out
 
 
@@ -449,8 +441,8 @@ def _chk_power_step(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
                 out.append({"kind": "cone-not-open", "level": lv.index, "element": i})
         for i, v in enumerate(lv.values):
             pe = h.power_element(hm.MElem(v, lv.index))
-            expected = frozenset(lv.values[j] for j in bits(rows[i]))
-            if pe.value != expected:
+            # the literal cone, apart from the library's inclusion rows
+            if pe.value != frozenset(z for z in lv.values if z <= v):
                 out.append({"kind": "power-value-mismatch", "level": lv.index,
                             "element": i})
             if not h.member_level(pe.value, lv.index + 1):
@@ -479,19 +471,21 @@ def _chk_subsets_in_m_open(p: PreOrder, name: str, ctx: RunContext) -> list[dict
     rng = ctx.rng("subsets-in-m-are-open", name)
     out = []
     for lv in levels[:max(1, depth - 1)]:
-        vals = lv.values
+        vals, rows = lv.values, lv.sub_rows
         k = len(vals)
         masks = (range(1, 1 << k) if k <= 10
                  else [rng.randrange(1, 1 << k) for _ in range(150)])
-        candidates = [frozenset(vals[i] for i in bits(m)) for m in masks]
         if k > 10 and lv.index + 1 <= depth:
             # a small level lists every subset, the next level among them
-            candidates.extend(levels[lv.index].values)
-        for v in candidates:
-            mem = h.membership(v, depth + 1)
-            if mem.in_m and not h.member_level(v, lv.index + 1):
-                out.append({"kind": "member-subset-not-open", "level": lv.index,
-                            "value": hm.render_value(v)})
+            masks.extend(levels[lv.index].masks)
+        for m in masks:
+            v = frozenset(vals[i] for i in bits(m))
+            # membership is the library's answer; openness is read off the rows
+            in_m = h.membership(v, depth + 1).in_m
+            is_open = not tp.row_union(rows, m) & ~m
+            if in_m != is_open:
+                kind = "member-subset-not-open" if in_m else "open-subset-not-member"
+                out.append({"kind": kind, "level": lv.index, "value": hm.render_value(v)})
     return out
 
 

@@ -185,6 +185,7 @@ def test_levels_are_frozen(chain3):
             setattr(lv, field, None)
     # the cached fields still fill in, and equality stays identity
     assert lv.sub_rows is lv.sub_rows and lv.value_set == frozenset(lv.values)
+    assert lv.cones is lv.cones and lv.cones[hset("a")] == {hset("a")}
     assert lv == h.level(1) and lv != h_of(chain3).level(1)
     assert repr(lv) == "HierarchyLevel(1, size=3)"
 
@@ -613,10 +614,9 @@ def test_nonempty_level_cone_is_member_above(models_by_size):
     for p in models_by_size[2]:
         h = h_of(p)
         for lv in h.build(3):
-            rows = lv.sub_rows
-            for i in range(len(lv)):
-                cone = frozenset(lv.values[j] for j in bits(rows[i]))
-                assert cone
+            assert list(lv.cones) == list(lv.values)
+            for v, cone in lv.cones.items():
+                assert cone == {z for z in lv.values if z <= v}
                 assert h.member_level(cone, lv.index + 1)
 
 

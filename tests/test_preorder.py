@@ -106,8 +106,10 @@ def test_leq_examples(chain3, antichain2):
     assert chain3.leq(a, c)
     assert chain3.leq(b, b)
     assert not antichain2.leq(0, 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="atom 5 outside"):
         chain3.leq(0, 5)
+    with pytest.raises(IndexError):
+        chain3.leq(3, 0)  # the first atom one past the carrier
 
 
 def test_strict_examples(chain3, twocycle):
@@ -115,6 +117,8 @@ def test_strict_examples(chain3, twocycle):
     assert not chain3.strict(1, 0)
     assert not twocycle.strict(0, 1)
     assert not chain3.strict(2, 2)
+    with pytest.raises(IndexError):
+        chain3.strict(3, 0)
 
 
 @settings(max_examples=100)
@@ -280,6 +284,8 @@ def test_enumeration_holds_one_int_per_model():
 
 def test_default_labels():
     assert default_labels(3) == ("a", "b", "c")
+    assert default_labels(26)[-1] == "z"
+    assert default_labels(27)[0] == "a0"
     assert default_labels(30)[26] == "a26"
 
 
@@ -306,6 +312,11 @@ def test_format_parse_roundtrip(models_by_size):
 def test_parse_rejects_bad_input(text):
     with pytest.raises(ValueError):
         parse_preorder(text)
+
+
+def test_parse_error_names_its_line():
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_preorder("atoms: a\nbogus")
 
 
 # strings made mostly of the input format's own tokens, so that the

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from magmas.preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, bits, format_
                              format_preorder)
 from magmas.verify import (_BLOCK, HIER_MAX_N, MIXED_FAMILY_SIZE, RECORDED_CONFIG,
                            ConfigError, Counterexample, RunContext, SUITES, SuiteConfig,
-                           _chk_minimal_characterizations,
+                           _chk_minimal_characterizations, _direct_limit_successor,
+                           _mixed_family,
                            _chk_open_family, _chk_shift_laws,
                            _chk_shift_minimal_contra, _witnesses, render_report, replay,
                            report_to_json, run_suite)
@@ -120,6 +122,7 @@ def test_config_validation():
         run_suite(SuiteConfig(suites=("no-such-suite",)))
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(symbolic_depth=1))
+    SuiteConfig(depth=1, symbolic_depth=3).validate()  # the least values pass
     # one string is not a tuple of ids, and an empty selection checks nothing
     with pytest.raises(ConfigError, match="not the string 'all'"):
         run_suite(SuiteConfig(suites="all"))
@@ -191,6 +194,10 @@ def test_replay_rejects_malformed_blobs():
         with pytest.raises(ValueError):
             replay({"suite": "closure-idempotence", "model": "n=3#0",
                     "labels": ["a", "b", "c"], "rows": rows})
+    # a raw row of 0 (no diagonal bit) is a recorded fault, not a malformed blob
+    cx = Counterexample.from_blob({"suite": "closure-idempotence", "model": "n=1#0",
+                                   "labels": ["a"], "rows": [0]})
+    assert cx.rows == (0,)
     # labels are a list of distinct strings: not a string, not ints, no repeats
     for labels in ("ab", [1, 2], ["a", "a"]):
         with pytest.raises(ValueError, match="malformed counterexample blob"):
@@ -330,6 +337,25 @@ def test_undecided_membership_fails_the_limit_suites(monkeypatch):
     assert [replay(b) for b in blobs] == [True, True]
 
 
+def test_one_level_has_no_mixed_family():
+    # a mixed family draws from two levels at least: at depth 1 there is
+    # none, and the limit suites check only the level's own values
+    report = run_suite(SuiteConfig(suites=("limit-partition", "union-criterion"),
+                                   max_size=2, depth=1))
+    assert report.passed
+    h, rng = hm.Hierarchy(build("ab")), random.Random(0)
+    assert _mixed_family(h, 1, rng, 3) == []
+    assert len(_mixed_family(h, 2, rng, 3)) == 3
+
+
+def test_direct_limit_successor_needs_built_members():
+    # the literal limit oracle: {{a,b}} is no built value of the 2-antichain,
+    # though no built value lies inside it
+    h = hm.Hierarchy(build("ab"))
+    assert _direct_limit_successor(h, hm.parse_value("{{a},{{a}}}"), 2)
+    assert not _direct_limit_successor(h, hm.parse_value("{{{a,b}}}"), 2)
+
+
 def forge_membership(monkeypatch, literal, level, bound=None):
     """Make Hierarchy.membership place one non-member value at ``level``.
 
@@ -361,6 +387,20 @@ def test_seeded_replay_uses_recorded_seed(monkeypatch):
     blob = cx.to_blob()
     assert replay(blob) is False
     assert replay(blob, SuiteConfig(seed=1)) is False  # the fault is still there
+
+
+def test_subsets_suite_asks_every_next_level_value(monkeypatch):
+    # level 2 of the 3-antichain has 18 elements, so the suite samples its
+    # subsets and adds the 81 level-3 values; the whole of level 2 is one
+    # of them, and the seed-0 sample of 150 masks does not draw it
+    top = frozenset(hm.Hierarchy(build("abc")).level(2).values)
+    real = hm.Hierarchy.membership
+    monkeypatch.setattr(hm.Hierarchy, "membership", lambda self, v, b: (
+        hm.Membership("outside") if v == top else real(self, v, b)))
+    report = run_suite(SuiteConfig(suites=("subsets-in-m-are-open",), max_size=3))
+    [cx] = report.failures
+    assert cx.witness == {"kind": "open-subset-not-member", "level": 2,
+                          "value": hm.render_value(top)}
 
 
 def test_counterexample_records_config(monkeypatch):
@@ -487,11 +527,24 @@ def _whole_level(h, x):
     return x.level > 1 and x.value == frozenset(h.level(x.level - 1).values)
 
 
-_strict, _rows = PreOrder.strict, hm.inclusion_rows
+def _top_level_without_its_top(self):
+    """A value set of the top built level that lacks the level below as a whole."""
+    cut = -1 if self.index == SuiteConfig().depth else None
+    return frozenset(self.values[:cut])
+
+
+def _flip_union_criterion(self, v, bound):
+    rep = _union(self, v, bound)
+    return replace(rep, criterion_union=not rep.criterion_union)
+
+
+_strict, _rows, _rank = PreOrder.strict, hm.inclusion_rows, hm.Hierarchy.rank
 _power, _member = hm.Hierarchy.power_element, hm.Hierarchy.member_level
+_union, _members = hm.Hierarchy.union_report, sym.members_up_to
 
 # (witness kind, suite, patched object, attribute, fault); each fault
-# yields at least its own kind at max_size 2 and the default depth 3
+# yields at least its own kind at max_size 2 and the default depth 3. A
+# check whose witnesses carry no "kind" is matched by a field name instead
 WITNESS_FAULTS = [
     ("irreflexive", "strict-part-laws", PreOrder, "strict",
      lambda self, a, b: a == b or _strict(self, a, b)),
@@ -508,14 +561,46 @@ WITNESS_FAULTS = [
     # only the top level's powers, one past the depth, are refused
     ("power-not-member", "powerset-cone-step", hm.Hierarchy, "member_level",
      lambda self, v, n: n <= SuiteConfig().depth and _member(self, v, n)),
+    # only the top built level misses a value: the power of the top of the
+    # level below
     ("power-not-materialized", "powerset-cone-step", hm.HierarchyLevel, "value_set",
-     property(lambda self: frozenset(self.values[1:]))),
+     property(_top_level_without_its_top)),
     ("carrier-power-mismatch", "powerset-cone-step", hm.Hierarchy, "power_element",
      lambda self, x: (hm.MElem(frozenset(), 2) if x == (frozenset(self.base.labels), 1)
                       else _power(self, x))),
+    # only the last whole level's power is wrong
     ("level-power-mismatch", "powerset-cone-step", hm.Hierarchy, "power_element",
-     lambda self, x: (hm.MElem(frozenset(), x.level + 1) if _whole_level(self, x)
+     lambda self, x: (hm.MElem(frozenset(), x.level + 1)
+                      if x.level == SuiteConfig().depth and _whole_level(self, x)
                       else _power(self, x))),
+    # levels 1 and 2 share a marker, level 3 has another: only adjacent
+    # levels overlap
+    ("levels-overlap", "hierarchy-levels", hm.HierarchyLevel, "value_set",
+     property(lambda self: frozenset(self.values) | {self.index // 3})),
+    # only the last pair of built levels fails to nest
+    ("level-not-member-of-next", "hierarchy-levels", hm.HierarchyLevel, "value_set",
+     property(_top_level_without_its_top)),
+    ("rank-mismatch", "hierarchy-levels", hm.Hierarchy, "rank",
+     lambda self, v: _rank(self, v) + 1),
+    ("member-subset-not-open", "subsets-in-m-are-open", hm.Hierarchy, "membership",
+     lambda self, v, bound: hm.Membership("level", 1)),
+    ("open-subset-not-member", "subsets-in-m-are-open", hm.Hierarchy, "membership",
+     lambda self, v, bound: hm.Membership("outside")),
+    ("bottom-union-not-empty", "union-criterion", hm, "hf_union", lambda v: v),
+    ("bottom-criteria-not-false", "union-criterion", hm.Hierarchy, "union_report",
+     lambda self, v, bound: replace(_union(self, v, bound), criterion_unmixed=True)),
+    ("criteria-disagree", "union-criterion", hm.Hierarchy, "union_report",
+     _flip_union_criterion),
+    ("negative-control-failed", "basic-open-no-partition", hm, "find_open_partition",
+     lambda rows, x: None),
+    ("classification-not-total", "magma-set-atom-trichotomy", hm.Hierarchy, "classify",
+     lambda self, v, bound: "undecided"),
+    ("classification-mismatch", "magma-set-atom-trichotomy", hm.Hierarchy, "classify",
+     lambda self, v, bound: "atom"),
+    ("counts", "generated-opens-unbounded", sym, "members_up_to",
+     lambda g, depth: _members(g, min(depth, 3))),
+    ("atom", "clustered-class-saturation", sym, "gen_member",
+     lambda g, z: z[1] == 0),
 ]
 
 
@@ -525,7 +610,8 @@ def test_seeded_fault_yields_its_witness_kind(monkeypatch, kind, suite, target, 
                                               fault):
     monkeypatch.setattr(target, attr, fault)
     report = run_suite(SuiteConfig(suites=(suite,), max_size=2))
-    hits = [cx for cx in report.failures if cx.witness.get("kind") == kind]
+    hits = [cx for cx in report.failures if cx.witness.get("kind") == kind
+            or "kind" not in cx.witness and kind in cx.witness]
     assert hits
     blob = json.loads(json.dumps(hits[0].to_blob()))
     assert replay(blob) is False
