@@ -384,13 +384,13 @@ MUTANTS = (
      "                return _UNDECIDED\n",
      "tests/test_hierarchy.py"),
     # survivors of a sweep of shifting.py and symbolic.py, killed by tests
-    # added for them: a connection check passing on one half, strict read
-    # as "below or not above", the cluster tag k accepted, a built atom
-    # tagged 1, a malformed cluster name read, a level-1 open generated by
-    # opens, an atom asked of a level-2 open
+    # added for them: a subset passing the connection sweep on one half,
+    # strict read as "below or not above", the cluster tag k accepted, a
+    # built atom tagged 1, a malformed cluster name read, a level-1 open
+    # generated by opens, an atom asked of a level-2 open
     ("src/magmas/shifting.py",
-     "return self.subset_dir and self.equality_when_open",
-     "return self.subset_dir or self.equality_when_open",
+     "if not (subset_dir and equality_when_open):",
+     "if not (subset_dir or equality_when_open):",
      "tests/test_shifting.py"),
     ("src/magmas/symbolic.py",
      "return self.leq(a, b) and not self.leq(b, a)",
@@ -508,6 +508,68 @@ MUTANTS = (
      "if not 0 <= a < self.n:\n            raise IndexError",
      "if not 1 <= a < self.n:\n            raise IndexError",
      "tests/test_preorder.py"),
+    # the trichotomy suite classifying a value of rank depth + 1 at bound
+    # depth; subsets-in-m-are-open never asking the singleton of a small
+    # level's first element
+    ("src/magmas/verify.py",
+     "depth = max(depth, h.rank(v))",
+     "depth = depth",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "masks = (range(1, 1 << k) if k <= 10",
+     "masks = (range(2, 1 << k) if k <= 10",
+     "tests/test_verify.py"),
+    # survivors of a sweep of verify.py past the hierarchy suites and of
+    # cli.py, killed by tests added for them: the subset-semantics masks
+    # holding the first atom from the start, generated opens let stall
+    # between two of the depths counted, a skipped suite counting a model,
+    # a failed check exiting 2, the JSON report indented otherwise, the
+    # defaults of validate --depth, hierarchy --levels and member --bound
+    # moved, an OSError reported by its errno
+    ("src/magmas/verify.py",
+     "m = 0\n",
+     "m = 1\n",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "if not (counts[0] < counts[1] < counts[2]):",
+     "if not (counts[0] <= counts[1] < counts[2]):",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "if not (counts[0] < counts[1] < counts[2]):",
+     "if not (counts[0] < counts[1] <= counts[2]):",
+     "tests/test_verify.py"),
+    ("src/magmas/verify.py",
+     "SuiteResult(sid, s.statement, 0, skipped=True)",
+     "SuiteResult(sid, s.statement, 1, skipped=True)",
+     "tests/test_verify.py"),
+    ("src/magmas/cli.py",
+     "return 0 if v.ok else 1",
+     "return 0 if v.ok else 2",
+     "tests/test_cli.py"),
+    ("src/magmas/cli.py",
+     "return 0 if report.passed else 1",
+     "return 0 if report.passed else 2",
+     "tests/test_cli.py"),
+    ("src/magmas/cli.py",
+     "indent=2, sort_keys=True",
+     "indent=3, sort_keys=True",
+     "tests/test_cli.py"),
+    ("src/magmas/cli.py",
+     'sp.add_argument("--depth", type=int, default=8,',
+     'sp.add_argument("--depth", type=int, default=9,',
+     "tests/test_cli.py"),
+    ("src/magmas/cli.py",
+     'sp.add_argument("--levels", type=int, default=3,',
+     'sp.add_argument("--levels", type=int, default=4,',
+     "tests/test_cli.py"),
+    ("src/magmas/cli.py",
+     'sp.add_argument("--bound", type=int, default=3,',
+     'sp.add_argument("--bound", type=int, default=4,',
+     "tests/test_cli.py"),
+    ("src/magmas/cli.py",
+     "if isinstance(exc, KeyError) and exc.args",
+     "if isinstance(exc, KeyError) or exc.args",
+     "tests/test_cli.py"),
 )
 
 

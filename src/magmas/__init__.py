@@ -47,7 +47,6 @@ from .symbolic import (
     gen_intersect,
     gen_member,
     gen_subset,
-    gen_union,
     members_up_to,
     model_by_name,
     strict_shrink,

@@ -101,12 +101,6 @@ class PreOrder:
             self._check_atom(a)
         return self.pred[a]
 
-    def successors(self, a: int) -> AtomSet:
-        """{b : a <= b}, the dual cone."""
-        if not 0 <= a < self.n:
-            self._check_atom(a)
-        return self.succ[a]
-
     def equiv_class(self, a: int) -> AtomSet:
         """Atoms mutually dependent with a."""
         if not 0 <= a < self.n:

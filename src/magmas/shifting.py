@@ -62,10 +62,6 @@ class ConnectionCheck:
     subset_dir: bool            # every subset of x is below x
     equality_when_open: bool    # shifted cone equals the powerset, if x is open
 
-    @property
-    def ok(self) -> bool:
-        return self.subset_dir and self.equality_when_open
-
 
 def _connection_sweep(p: PreOrder, *, table: list[AtomSet] | None = None
                       ) -> tuple[list[tuple[AtomSet, ConnectionCheck]], bool]:

@@ -218,11 +218,6 @@ def gen_equal(g1: GenOpen, g2: GenOpen) -> bool:
     return gen_subset(g1, g2) and gen_subset(g2, g1)
 
 
-def gen_union(g1: GenOpen, g2: GenOpen) -> GenOpen:
-    _check_same(g1, g2)
-    return GenOpen(g1.model, g1.level, g1.generators + g2.generators)
-
-
 def gen_intersect(g1: GenOpen, g2: GenOpen) -> GenOpen | None:
     """Pairwise meet of generator cones; None when the intersection is empty.
 

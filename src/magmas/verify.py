@@ -38,8 +38,8 @@ from . import hierarchy as hm
 from . import shifting as sh
 from . import symbolic as sym
 from . import topology as tp
-from .preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, bits, build,
-                       enumerate_preorders, format_atom_set, format_preorder)
+from .preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, _edge_labels, bits,
+                       build, enumerate_preorders, format_atom_set, format_preorder)
 
 HIER_GROWTH_CAP = hm.GROWTH_CAP  # the name perfbench/hierarchy_queries.py reads
 HIER_MAX_N = 3
@@ -241,8 +241,7 @@ def _rows_outside_carrier(p: PreOrder) -> list[dict]:
 def _chk_closure_idempotent(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     if outside := _rows_outside_carrier(p):
         return outside
-    rebuilt = build(p.labels, [(p.labels[a], p.labels[b])
-                               for b in range(p.n) for a in bits(p.pred[b])])
+    rebuilt = build(p.labels, _edge_labels(p))
     return [] if rebuilt.pred == p.pred else [{"rebuilt_rows": list(rebuilt.pred)}]
 
 
@@ -417,8 +416,6 @@ def _chk_hierarchy_levels(p: PreOrder, name: str, ctx: RunContext) -> list[dict]
         nxt = levels[li.index]  # levels[k] has index k+1
         if li.value_set not in nxt.value_set:
             out.append({"kind": "level-not-member-of-next", "level": li.index})
-        if li.value_set == nxt.value_set:
-            out.append({"kind": "fixed-point", "level": li.index})
     for li in levels:
         for v in li.values:
             if h.rank(v) != li.index:
@@ -630,6 +627,8 @@ def _random_hf(atoms: list, pool: list, rng: random.Random, depth: int):
 
 
 def _trichotomy_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
+    # the corpus reaches rank depth + 1, which bound depth leaves undecided
+    depth = max(depth, h.rank(v))
     cls = h.classify(v, depth)
     if cls == "undecided":
         return [{"kind": "classification-not-total", "value": hm.render_value(v)}]

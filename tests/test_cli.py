@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magmas import symbolic as sym
 from magmas import topology as tp
 from magmas.cli import main
+from magmas.preorder import PreOrder
 
 CHAIN = "atoms: a b c\na <= b\nb <= c\n"
 CHAIN_PO = str(Path(__file__).parent.parent / "demos" / "chain.po")
@@ -186,7 +188,7 @@ def test_check_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "check", str(tmp_path / "missing.po"))
-    assert code == 2
+    assert code == 2 and "missing.po" in err  # the OSError's text, not its errno
 
 
 def test_library_index_error_is_not_bad_input(monkeypatch, capsys, chain_file):
@@ -215,6 +217,31 @@ def test_verify_out_file_and_json(capsys, tmp_path):
     assert code == 0 and out == ""
     blob = json.loads(out_path.read_text())
     assert blob["passed"] is True
+
+
+def test_verify_json_is_the_golden_report(capsys):
+    golden = Path(__file__).parent / "golden" / "report_max2.json"
+    code, out, _ = run(capsys, "verify", "--max-size", "2", "--format", "json")
+    assert code == 0 and out == golden.read_text()
+
+
+def test_a_failed_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(PreOrder, "strict", lambda self, a, b: True)
+    code, out, _ = run(capsys, "verify", "--max-size", "1", "--suites", "strict-part-laws")
+    assert code == 1 and "status: fail" in out
+    monkeypatch.setattr(sym, "validate_model",
+                        lambda model, depth, seed: sym.ModelValidation("prefix", 1, 0, ["x"]))
+    code, out, _ = run(capsys, "symbolic", "validate")
+    assert code == 1 and "failure: x" in out
+
+
+def test_defaults_of_depth_levels_and_bound(capsys, anti_file, chain_file):
+    assert run(capsys, "symbolic", "validate") == run(capsys, "symbolic", "validate",
+                                                      "--depth", "8")
+    assert run(capsys, "hierarchy", anti_file)[1].strip() == "3 4 5"
+    # a value of rank 4 is past the default bound 3
+    code, out, _ = run(capsys, "member", chain_file, "--value", "{{{{a}}}}")
+    assert code == 0 and out.strip() == "undecided (bound too small)"
 
 
 def test_verify_bad_config(capsys):

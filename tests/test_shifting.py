@@ -111,9 +111,9 @@ def test_connection_examples():
     assert check_connection(p) == []  # vacuous for non-open x
     # with no reflexive bits every nonempty x is open and misses itself
     bare = PreOrder(("a", "b"), (0, 0))
-    assert [(x, c.subset_dir, c.equality_when_open, c.ok)
+    assert [(x, c.subset_dir, c.equality_when_open)
             for x, c in check_connection(bare)] == [
-        (1, False, False, False), (2, False, False, False), (3, False, False, False)]
+        (1, False, False), (2, False, False), (3, False, False)]
 
 
 def test_connection_matches_literal_cone(models_by_size):
@@ -133,7 +133,8 @@ def test_connection_matches_literal_cone(models_by_size):
         assert [x for x, _ in found] == sorted(x for x, _ in found)
         got = {to_labels(p, x): (c.subset_dir, c.equality_when_open) for x, c in found}
         assert got == connection_failures(rel, p.labels), rows
-        assert not any(c.ok for _, c in found)  # a listed subset fails a half
+        # a listed subset fails a half
+        assert not any(c.subset_dir and c.equality_when_open for _, c in found)
         failing += bool(got)
     assert 1000 < failing < 2000
 

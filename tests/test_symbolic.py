@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magmas import (GenOpen, binary_string_model, clustered_model, gen_equal,
-                    gen_intersect, gen_member, gen_subset, gen_union,
+                    gen_intersect, gen_member, gen_subset,
                     members_up_to, model_by_name, strict_shrink,
                     validate_model)
 from magmas import symbolic as sym
@@ -178,12 +178,6 @@ def test_gen_equal_examples(prefix):
     assert not gen_equal(pr(prefix, "0"), pr(prefix, "1"))
     g = pr(prefix, "010")
     assert gen_equal(g, g)
-
-
-def test_gen_union_covers_everything(prefix):
-    u = gen_union(pr(prefix, "0"), pr(prefix, "1"))
-    for z in prefix.atoms_up_to(5):
-        assert gen_member(u, z)
 
 
 def test_gen_intersect_examples(prefix):

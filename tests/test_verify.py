@@ -17,10 +17,10 @@ from magmas.preorder import (ENUM_HARD_CAP, CapExceeded, PreOrder, bits, format_
                              format_preorder)
 from magmas.verify import (_BLOCK, HIER_MAX_N, MIXED_FAMILY_SIZE, RECORDED_CONFIG,
                            ConfigError, Counterexample, RunContext, SUITES, SuiteConfig,
-                           _chk_minimal_characterizations, _direct_limit_successor,
-                           _mixed_family,
-                           _chk_open_family, _chk_shift_laws,
-                           _chk_shift_minimal_contra, _witnesses, render_report, replay,
+                           _chk_gen_subset_semantics, _chk_minimal_characterizations,
+                           _chk_open_family, _chk_shift_laws, _chk_shift_minimal_contra,
+                           _chk_subsets_in_m_open, _direct_limit_successor, _mixed_family,
+                           _trichotomy_witnesses, _witnesses, render_report, replay,
                            report_to_json, run_suite)
 
 from oracles import (mask_is_open, minimal_characterizations_of, open_family_witnesses,
@@ -92,6 +92,7 @@ def test_unselected_suites_marked_skipped():
     by_id = {r.suite_id: r for r in report.results}
     assert not by_id["strict-part-laws"].skipped
     assert by_id["minimal-open-characterizations"].skipped
+    assert by_id["minimal-open-characterizations"].models_checked == 0
     assert len(report.results) == len(SUITES)  # nothing silently absent
     assert report.passed
 
@@ -403,6 +404,33 @@ def test_subsets_suite_asks_every_next_level_value(monkeypatch):
                           "value": hm.render_value(top)}
 
 
+def test_subsets_suite_asks_every_singleton_of_a_small_level(monkeypatch, models_by_size):
+    # a level of at most 10 elements lists every subset mask, from 1 up
+    asked = []
+    real = hm.Hierarchy.membership
+    monkeypatch.setattr(hm.Hierarchy, "membership",
+                        lambda self, v, b: asked.append(v) or real(self, v, b))
+    depth = SuiteConfig().depth
+    for n in (1, 2, 3):
+        for idx, p in enumerate(models_by_size[n]):
+            asked.clear()
+            assert _chk_subsets_in_m_open(p, f"n={n}#{idx}", RunContext(SuiteConfig())) == []
+            for lv in hm.Hierarchy(p).build(depth)[:depth - 1]:
+                if len(lv.values) <= 10:
+                    assert {frozenset({v}) for v in lv.values} <= set(asked), (n, idx)
+
+
+def test_trichotomy_classifies_a_value_at_its_rank(models_by_size):
+    # the corpus of model n=3#21 at depth 3 holds {{{{b,c}}}}, of rank 4:
+    # at bound 3 it is undecided, at its rank a level-4 magma
+    p = models_by_size[3][21]
+    h = hm.Hierarchy(p)
+    v = hm.parse_value("{{{{b,c}}}}")
+    assert h.rank(v) == 4 and h.classify(v, 3) == "undecided"
+    assert _trichotomy_witnesses(h, v, 3) == []
+    assert h.classify(v, 4) == "magma"
+
+
 def test_counterexample_records_config(monkeypatch):
     # a fault only a depth-2 run reaches: there the suite asks membership
     # at bound 3, at the default depth 3 it asks at bound 4
@@ -617,6 +645,24 @@ def test_seeded_fault_yields_its_witness_kind(monkeypatch, kind, suite, target, 
     assert replay(blob) is False
     monkeypatch.undo()
     assert replay(blob) is True
+
+
+@pytest.mark.parametrize("stall", [max, min], ids=["low", "high"])
+def test_unbounded_suite_compares_each_pair_of_depths(monkeypatch, stall):
+    # the members stop growing between the lower two depths (max) or the
+    # upper two (min) of the three the suite counts at
+    mid = SuiteConfig().symbolic_depth - 1
+    monkeypatch.setattr(sym, "members_up_to", lambda g, depth: _members(g, stall(depth, mid)))
+    assert run_suite(SuiteConfig(suites=("generated-opens-unbounded",), max_size=1)).failures
+
+
+def test_subset_semantics_reads_the_first_atom(monkeypatch):
+    # pr(00, 01) holds every atom of pr(0) but the first one listed, 0
+    prefix = sym.model_by_name("prefix")
+    pool = [sym.GenOpen(prefix, 1, ("0",)), sym.GenOpen(prefix, 1, ("00", "01"))]
+    monkeypatch.setattr("magmas.verify._gen_pool", lambda model, rng, depth, size: pool)
+    assert _chk_gen_subset_semantics(prefix, "prefix", RunContext(SuiteConfig())) == []
+    assert not sym.gen_subset(*pool)
 
 
 def faulty_closure_table(verdicts):
