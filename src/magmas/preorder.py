@@ -4,16 +4,17 @@ Atoms are the indices 0..n-1 of a label list; subsets of the carrier are
 plain ints used as bitmasks (bit i set = atom i present). A relation is
 stored as one predecessor mask per atom: bit a of ``pred[b]`` means
 a <= b ("a depends on b"). Its transpose, one successor mask per atom, is
-computed once per ``PreOrder`` and kept as ``succ``. ``build`` takes
-arbitrary edges and forms the reflexive-transitive closure, so a built
-``PreOrder`` always satisfies reflexivity and transitivity.
+computed once per ``PreOrder`` and kept as ``succ``, its closure table on
+first read as ``closures``. ``build`` takes arbitrary edges and forms the
+reflexive-transitive closure, so a built ``PreOrder`` always satisfies
+reflexivity and transitivity.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 AtomSet = int
 
@@ -46,8 +47,9 @@ class PreOrder:
     Construct through :func:`build` (which closes the relation) or
     :meth:`from_pred_rows` (which validates an already-closed one);
     the raw constructor performs no checks. ``n`` and the successor rows
-    ``succ`` are derived from the two fields once, at construction; they
-    take no part in equality, hashing or ``repr``.
+    ``succ`` are derived from the two fields at construction, the table of
+    :attr:`closures` on first read; none of them takes part in equality,
+    hashing or ``repr``.
     """
 
     labels: tuple[str, ...]
@@ -56,6 +58,7 @@ class PreOrder:
     # succ[a] is {b : a <= b}, the transpose of pred; bits of pred outside
     # the carrier are left out
     succ: tuple[AtomSet, ...] = field(init=False, repr=False, compare=False)
+    _closures: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -73,6 +76,13 @@ class PreOrder:
     @property
     def full_mask(self) -> AtomSet:
         return (1 << self.n) - 1
+
+    @property
+    def closures(self) -> tuple[AtomSet, ...]:
+        """``closure_table(pred, n)``, built on first read and kept; uncapped."""
+        if self._closures is None:
+            object.__setattr__(self, "_closures", closure_table(self.pred, self.n))
+        return self._closures
 
     def _check_atom(self, a: int) -> None:
         if not 0 <= a < self.n:
@@ -187,6 +197,18 @@ def _close(rows: list[AtomSet]) -> tuple[AtomSet, ...]:
             if row & bit:
                 rows[b] = row | row_k
     return tuple(rows)
+
+
+def closure_table(rows: Sequence[AtomSet], n: int) -> tuple[AtomSet, ...]:
+    """Entry x is the union of the rows of x's members, over every mask x
+    below 2^n: mask x + 2^b is mask x joined with row b, one OR each. Row
+    bits outside the carrier stay in, so ``not t[x] & ~x`` is
+    ``topology.is_lower_open`` on any rows, closed or raw."""
+    t = [0]
+    for b in range(n):
+        row = rows[b]
+        t += [c | row for c in t]
+    return tuple(t)
 
 
 def downset_masks(rows: tuple[AtomSet, ...], n: int) -> Iterator[AtomSet]:

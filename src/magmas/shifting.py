@@ -14,9 +14,9 @@ shifted row with its inclusion row. The sweep reads both sides of the
 first comparison from ``topology.subset_families``: the powerset of x is
 its entry at x, and the shifted cone of x is its entry at the carrier
 part of x's closure, the same subsets :func:`pr_plus` lists. That sweep
-and :func:`shifted_is_total` walk every subset, and :func:`pr_plus` can
-list all of them, so ``topology.CARRIER_CAP`` caps the carrier of all
-three.
+and :func:`shifted_is_total` read the closures off ``PreOrder.closures``
+and walk every subset, and :func:`pr_plus` can list all of them, so
+``topology.CARRIER_CAP`` caps the carrier of all three.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preorder import AtomSet, PreOrder, format_atom_set, mask_order
-from .topology import (check_carrier_cap, closure_table, down_closure, enumerate_opens,
-                       inclusion_rows, subset_families)
+from .topology import (check_carrier_cap, down_closure, enumerate_opens, inclusion_rows,
+                       subset_families)
 
 
 def shift_leq(p: PreOrder, x: AtomSet, y: AtomSet) -> bool:
@@ -63,18 +63,16 @@ class ConnectionCheck:
     equality_when_open: bool    # shifted cone equals the powerset, if x is open
 
 
-def _connection_sweep(p: PreOrder, *, table: list[AtomSet] | None = None
-                      ) -> tuple[list[tuple[AtomSet, ConnectionCheck]], bool]:
+def _connection_sweep(p: PreOrder) -> tuple[list[tuple[AtomSet, ConnectionCheck]], bool]:
     """The failing subsets of :func:`check_connection` and the verdict of
     :func:`shifted_opens_match`, from one sweep over all 2^n subsets.
 
     The subsets are visited in increasing order, so every subset of x,
-    and x's closure when x is open, comes before x. The closures are
-    ``table``, when the caller already holds ``closure_table(p.pred, n)``.
+    and x's closure when x is open, comes before x.
     """
     check_carrier_cap(p)
     n, full = p.n, p.full_mask
-    closure = closure_table(p.pred, n) if table is None else table
+    closure = p.closures
     power = subset_families(n)
     failing = []
     opens = 0  # the open subsets met so far, as one family
@@ -115,11 +113,11 @@ def check_connection(p: PreOrder) -> list[tuple[AtomSet, ConnectionCheck]]:
     return _connection_sweep(p)[0]
 
 
-def shifted_is_total(p: PreOrder, *, table: list[AtomSet] | None = None) -> bool:
+def shifted_is_total(p: PreOrder) -> bool:
     """Totality of the shifted relation over all subset pairs, read from
-    the closure table of ``pred`` (``table``, when the caller holds it)."""
+    the closure table ``p.closures``."""
     check_carrier_cap(p)
-    closures = closure_table(p.pred, p.n) if table is None else table
+    closures = p.closures
     for x in range(1 << p.n):
         for y in range(x):
             if x & ~closures[y] and y & ~closures[x]:

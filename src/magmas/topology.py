@@ -9,25 +9,25 @@ members, so :func:`minimal_opens` reads them with :func:`constant_rows`,
 one pass over the atoms, and needs no enumeration.
 
 :func:`enumerate_opens` lists them as bare bitmasks, the one
-representation the library uses for a set of atoms. It reads them off
-the :func:`closure_table` of ``pred`` (x is open when ``t[x]`` stays
-inside x), in the mask order kept once per carrier size: the checks
-share that table, and reading it is faster than sorting the output of a
-walk. :func:`downset_masks`, the subset walk over raw rows that grows
-every hierarchy level and every one-point extension, lives in
-:mod:`.preorder` and is re-exported here.
+representation the library uses for a set of atoms, reading them off the
+pre-order's own closure table ``PreOrder.closures`` (x is open when
+``t[x]`` stays inside x) in the mask order kept once per carrier size,
+faster than sorting the output of a walk. :func:`closure_table` and
+:func:`downset_masks`, the subset walk that grows every hierarchy level
+and every one-point extension, live in :mod:`.preorder` and are
+re-exported here.
 
 The predicates read the relation's rows directly: ``pred`` for lower
 openness and down-closure, the stored transpose ``succ`` for upper
 openness. One set at a time they share one loop over its members,
 :func:`row_union`. A check that asks about every subset of the carrier
-reads :func:`closure_table` instead, which holds ``row_union`` of every
-mask at one OR each, and :func:`subset_families`, which holds the
-subsets of every mask as one 2^n-bit int (Knuth's broadword set
-families, TAOCP 4A 7.1.3); it depends on n alone, so it is built once
-per size. :func:`duality_failures` decides complement duality over the
-whole carrier from two such tables, and :func:`inclusion_rows` orders a
-family by inclusion one column (bit) at a time.
+reads a closure table instead, which holds ``row_union`` of every mask
+at one OR each, and :func:`subset_families`, which holds the subsets of
+every mask as one 2^n-bit int (Knuth's broadword set families, TAOCP 4A
+7.1.3); it depends on n alone, so it is built once per size.
+:func:`duality_failures` decides complement duality over the whole
+carrier from two such tables, and :func:`inclusion_rows` orders a family
+by inclusion one column (bit) at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .preorder import AtomSet, CapExceeded, PreOrder, downset_masks, mask_order
+from .preorder import (AtomSet, CapExceeded, PreOrder, closure_table, downset_masks,
+                       mask_order)
 
 CARRIER_CAP = 12  # carrier size past which a walk over all 2^n subsets stops
 
@@ -69,21 +70,6 @@ def is_lower_open(p: PreOrder, s: AtomSet) -> bool:
     return not row_union(p.pred, s) & ~s
 
 
-def closure_table(rows: Sequence[AtomSet], n: int) -> list[AtomSet]:
-    """``row_union(rows, x)`` for every mask x below 2^n, one OR per mask.
-
-    Built atom by atom: once the masks below 2^b are done, mask x + 2^b is
-    mask x joined with row b. Bits of the rows outside the carrier stay in
-    the table, so ``not t[x] & ~x`` agrees with :func:`is_lower_open` on
-    any rows, closed or raw.
-    """
-    t = [0]
-    for b in range(n):
-        row = rows[b]
-        t += [c | row for c in t]
-    return t
-
-
 @lru_cache(maxsize=None)
 def subset_families(n: int) -> tuple[int, ...]:
     """Entry x is the family of subsets of x, as an int whose bit y is set
@@ -106,18 +92,17 @@ def _ordered_masks(n: int) -> tuple[AtomSet, ...]:
     return tuple(sorted(range(1, 1 << n), key=mask_order))
 
 
-def duality_failures(p: PreOrder, *, table: list[AtomSet] | None = None) -> list[AtomSet]:
+def duality_failures(p: PreOrder) -> list[AtomSet]:
     """The masks s of the carrier where "s is lower open" and "the
     complement of s is upper open" disagree, in increasing order.
 
-    Lower openness reads the table of ``pred`` (``table``, when the
-    caller already holds it), upper openness the table of the transpose
-    ``succ``. Raises CapExceeded over ``CARRIER_CAP``.
+    Lower openness reads the pre-order's own table ``p.closures``, upper
+    openness the table of the transpose ``succ``. Raises CapExceeded over
+    ``CARRIER_CAP``.
     """
     check_carrier_cap(p)
     n, full = p.n, p.full_mask
-    down = closure_table(p.pred, n) if table is None else table
-    up = closure_table(p.succ, n)
+    down, up = p.closures, closure_table(p.succ, n)
     return [s for s in range(1 << n)
             if (not down[s] & ~s) != (not up[full ^ s] & ~(full ^ s))]
 
@@ -160,16 +145,16 @@ def inclusion_rows(masks: Sequence[AtomSet]) -> tuple[AtomSet, ...]:
     return tuple(rows)
 
 
-def enumerate_opens(p: PreOrder, *, table: list[AtomSet] | None = None) -> list[AtomSet]:
+def enumerate_opens(p: PreOrder) -> list[AtomSet]:
     """Masks of the nonempty lower-open subsets, sorted by size then bit pattern.
 
-    Read from the :func:`closure_table` of ``pred`` (``table``, when the
-    caller already holds it): x is open exactly when ``t[x]`` stays
-    inside x, bits outside the carrier included. The masks are visited
-    in the order :func:`_ordered_masks` keeps per n.
+    Read from the pre-order's closure table ``p.closures``: x is open
+    exactly when ``t[x]`` stays inside x, bits outside the carrier
+    included. The masks are visited in the order :func:`_ordered_masks`
+    keeps per n.
     """
     check_carrier_cap(p)
-    t = closure_table(p.pred, p.n) if table is None else table
+    t = p.closures
     return [x for x in _ordered_masks(p.n) if not t[x] & ~x]
 
 

@@ -17,12 +17,11 @@ and dropped before the next block is checked; then the symbolic suites
 run. A model that a selected size-limited suite checks is a block of its
 own, because that suite builds its level hierarchy; the other models come
 in blocks of ``_BLOCK``. Facts that several suites ask of one model (its
-open masks, its closure table, its minimal opens, the star condition, its
-hierarchy) are worked out once per block through ``RunContext.once`` and
-dropped with the block; replay and a check called directly compute them
-afresh. A suite's ``seconds`` add up over the blocks, so a shared fact is
-charged to the first suite that asks for it, and enumeration falls in no
-suite.
+open masks, its minimal opens, the star condition, its hierarchy) are
+worked out once per block through ``RunContext.once`` and dropped with
+the block; replay and a check called directly compute them afresh. A
+suite's ``seconds`` add up over the blocks, so a shared fact is charged
+to the first suite that asks for it, and enumeration falls in no suite.
 """
 
 from __future__ import annotations
@@ -189,28 +188,26 @@ class RunContext:
         self.cfg = cfg
         self._memo: dict | None = None  # a dict only inside run_suite's block loop
 
-    def once(self, fn: Callable, p: PreOrder, **tables):
-        """``fn(p, **tables)``, computed at most once per block of
-        :func:`run_suite` (one model, where a size-limited suite checks it:
-        its hierarchy is then the only one held).
+    def once(self, fn: Callable, p: PreOrder):
+        """``fn(p)``, computed at most once per block of :func:`run_suite`
+        (one model, where a size-limited suite checks it: its hierarchy is
+        then the only one held).
 
-        Keyed by the function and the model's identity, so ``tables`` must
-        be facts of p itself, such as its shared closure table. An id is
-        unique only among live objects, and the runner frees each block's
-        streamed models once the block is checked, so the memo must be
-        reset before any check of a new block: a kept entry could answer
-        for a new model that reuses a freed model's id. Outside the block
-        loop (replay, a check called directly) every call computes afresh.
-        A call that raises stores nothing, so the next suite that asks
-        raises too.
+        Keyed by the function and the model's identity. An id is unique only
+        among live objects, and the runner frees each block's streamed
+        models once the block is checked, so the memo must be reset before
+        any check of a new block: a kept entry could answer for a new model
+        that reuses a freed model's id. Outside the block loop (replay, a
+        check called directly) every call computes afresh. A call that
+        raises stores nothing, so the next suite that asks raises too.
         """
         memo = self._memo
         if memo is None:
-            return fn(p, **tables)
+            return fn(p)
         key = (fn, id(p))
         out = memo.get(key, _MISSING)
         if out is _MISSING:
-            out = memo[key] = fn(p, **tables)
+            out = memo[key] = fn(p)
         return out
 
     def rng(self, suite_id: str, model_name: str) -> random.Random:
@@ -224,12 +221,8 @@ class RunContext:
 # Facts that several suites ask of one model are read through ctx.once,
 # which shares them within a block of the runner. Each call looks up its
 # library function at call time, so a patched one is what runs. Every
-# reading of the pred closure table takes the shared one, so a model's
-# table is built once per block.
-
-
-def _pred_closure(p: PreOrder) -> list[int]:
-    return tp.closure_table(p.pred, p.n)
+# reading of the pred closure table goes through p.closures, so a model's
+# table is built once per pre-order.
 
 
 def _rows_outside_carrier(p: PreOrder) -> list[dict]:
@@ -291,11 +284,9 @@ def _chk_finite_star_fails(p: PreOrder, name: str, ctx: RunContext) -> list[dict
 
 
 def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    t = ctx.once(_pred_closure, p)
-    opens = ctx.once(tp.enumerate_opens, p, table=t)
-    # every union and meet below is a mask of the carrier, so openness is
-    # read from one closure table over all masks
-    is_open = [not c & ~s for s, c in enumerate(t)]
+    opens = ctx.once(tp.enumerate_opens, p)
+    # each union and meet below is a carrier mask, so the table holds its openness
+    is_open = [not c & ~s for s, c in enumerate(p.closures)]
     out = []
     # row-union openness is closed under ∪ and ∩: pairs, (z, z) too, decide any family
     for i, x in enumerate(opens):
@@ -311,12 +302,11 @@ def _chk_open_family(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_duality(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    return [{"set": format_atom_set(p, s)}
-            for s in tp.duality_failures(p, table=ctx.once(_pred_closure, p))]
+    return [{"set": format_atom_set(p, s)} for s in tp.duality_failures(p)]
 
 
 def _chk_minimal_characterizations(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    opens = ctx.once(tp.enumerate_opens, p, table=ctx.once(_pred_closure, p))
+    opens = ctx.once(tp.enumerate_opens, p)
     family = sum(1 << x for x in opens)
     power = tp.subset_families(p.n)
     const_cones = tp.constant_rows([p.predecessors(a) for a in range(p.n)])
@@ -357,8 +347,7 @@ def _chk_shift_laws(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # is t[z] & full, and t is monotone, so the largest x below some y
     # below z is t[y] & full for that y: transitivity fails at z exactly
     # when this x escapes t[z], and (x, y, z) is then a failing triple
-    t = ctx.once(_pred_closure, p)
-    full = p.full_mask
+    t, full = p.closures, p.full_mask
     out = [{"kind": "reflexive", "x": format_atom_set(p, x)}
            for x in range(1 << p.n) if x & ~t[x]]
     for z in range(1 << p.n):
@@ -373,14 +362,14 @@ def _chk_shift_laws(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 
 
 def _chk_shift_total(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
-    if p.is_total() and not sh.shifted_is_total(p, table=ctx.once(_pred_closure, p)):
+    if p.is_total() and not sh.shifted_is_total(p):
         return [{"kind": "shifted-not-total"}]
     return []
 
 
 def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # one sweep decides check_connection and shifted_opens_match together
-    failing, opens_match = sh._connection_sweep(p, table=ctx.once(_pred_closure, p))
+    failing, opens_match = sh._connection_sweep(p)
     out = [{"x": format_atom_set(p, x),
             "subset_dir": c.subset_dir,
             "equality_when_open": c.equality_when_open}
@@ -393,7 +382,7 @@ def _chk_connection(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
 def _chk_shift_minimal_contra(p: PreOrder, name: str, ctx: RunContext) -> list[dict]:
     # an open of the lifted family is minimal when its inclusion row is
     # constant, as in minimal-open-characterizations
-    opens = ctx.once(tp.enumerate_opens, p, table=ctx.once(_pred_closure, p))
+    opens = ctx.once(tp.enumerate_opens, p)
     has_minimal = bool(tp.constant_rows(tp.inclusion_rows(opens)))
     star, _ = ctx.once(PreOrder.satisfies_star, p)
     if has_minimal and star:
@@ -626,15 +615,21 @@ def _random_hf(atoms: list, pool: list, rng: random.Random, depth: int):
     return frozenset(kids)
 
 
+def _literal_magma(h: hm.Hierarchy, v: frozenset) -> bool:
+    """Is the set v a magma, read off the built levels below its rank n and
+    not from membership? At n <= 1 it is a value of level 1; past 1 it is in
+    the limit successor over levels 1..n - 1, which holds level n too."""
+    n = h.rank(v)
+    return v in h.level(1).value_set if n < 2 else _direct_limit_successor(h, v, n - 1)
+
+
 def _trichotomy_witnesses(h: hm.Hierarchy, v, depth: int) -> list[dict]:
     # the corpus reaches rank depth + 1, which bound depth leaves undecided
     depth = max(depth, h.rank(v))
     cls = h.classify(v, depth)
     if cls == "undecided":
         return [{"kind": "classification-not-total", "value": hm.render_value(v)}]
-    is_atom = isinstance(v, str)
-    in_m = (not is_atom) and h.membership(v, depth).in_m
-    expected = "atom" if is_atom else ("magma" if in_m else "set")
+    expected = "atom" if isinstance(v, str) else "magma" if _literal_magma(h, v) else "set"
     if cls != expected:
         return [{"kind": "classification-mismatch", "value": hm.render_value(v),
                  "classified": cls}]

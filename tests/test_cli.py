@@ -194,7 +194,7 @@ def test_check_bad_file(capsys, tmp_path):
 def test_library_index_error_is_not_bad_input(monkeypatch, capsys, chain_file):
     # no command raises IndexError on what the user typed, so one raised
     # inside the library is a bug and must surface, not exit 2
-    def broken(p, **kw):
+    def broken(p):
         raise IndexError("row bit past the carrier")
     monkeypatch.setattr(tp, "enumerate_opens", broken)
     with pytest.raises(IndexError):

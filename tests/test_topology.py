@@ -173,8 +173,8 @@ def test_closure_table_matches_literal_union(models_by_size):
     models += raw_models("closure-table", 1000)
     for p in models:
         for rows in (p.pred, p.succ):
-            assert closure_table(rows, p.n) == [
-                literal_row_union(rows, x) for x in range(1 << p.n)]
+            assert closure_table(rows, p.n) == tuple(
+                literal_row_union(rows, x) for x in range(1 << p.n))
         # openness read from the table is the library predicate
         table = closure_table(p.pred, p.n)
         assert [not c & ~x for x, c in enumerate(table)] == [
@@ -184,6 +184,25 @@ def test_closure_table_matches_literal_union(models_by_size):
         assert subset_families(n) == tuple(
             sum(1 << y for y in range(1 << n) if not y & ~x) for x in range(1 << n))
         assert subset_families(n) is subset_families(n)
+
+
+def test_a_preorder_keeps_its_closure_table(models_by_size):
+    models = [p for n in (1, 2, 3, 4) for p in models_by_size[n]]
+    models += raw_models("closures", 1000)
+    for p in models:
+        assert p.closures == closure_table(p.pred, p.n)
+        assert p.closures is p.closures  # built once, then kept
+
+
+def test_the_closure_table_is_no_part_of_a_preorders_value(chain3):
+    fresh = PreOrder(chain3.labels, chain3.pred)
+    before = (hash(fresh), repr(fresh))
+    assert fresh.closures
+    assert (hash(fresh), repr(fresh)) == before
+    assert fresh == PreOrder(chain3.labels, chain3.pred)
+    # a table that differs leaves equality and hashing alone
+    object.__setattr__(fresh, "_closures", ())
+    assert fresh == chain3 and hash(fresh) == hash(chain3)
 
 
 def test_open_masks_match_the_subset_walk():

@@ -431,6 +431,26 @@ def test_trichotomy_classifies_a_value_at_its_rank(models_by_size):
     assert h.classify(v, 4) == "magma"
 
 
+def test_trichotomy_catches_a_limit_answer_whose_slices_fail(monkeypatch):
+    # the suite's oracle reads the levels literally, so a membership that
+    # answers "limit" for any set of members at two or more finite levels,
+    # slices open or not, disagrees with it; an oracle read off membership
+    # itself would not
+    real = hm.Hierarchy.membership
+
+    def lenient(self, v, bound):
+        mem = real(self, v, bound)
+        if mem.kind == "outside" and v and all(isinstance(y, frozenset) for y in v):
+            levels = {self.finite_level_of(y, bound) for y in v}
+            if None not in levels and len(levels) > 1:
+                return hm.Membership("limit", slice_levels=tuple(sorted(levels)))
+        return mem
+    monkeypatch.setattr(hm.Hierarchy, "membership", lenient)
+    report = run_suite(SuiteConfig(suites=("magma-set-atom-trichotomy",), max_size=2))
+    kinds = {cx.witness["kind"] for cx in report.failures}
+    assert kinds == {"classification-mismatch"}
+
+
 def test_counterexample_records_config(monkeypatch):
     # a fault only a depth-2 run reaches: there the suite asks membership
     # at bound 3, at the default depth 3 it asks at bound 4
@@ -665,19 +685,23 @@ def test_subset_semantics_reads_the_first_atom(monkeypatch):
     assert not sym.gen_subset(*pool)
 
 
-def faulty_closure_table(verdicts):
-    """A closure table whose entry s is open exactly when verdicts[s] holds:
-    a rejected mask gets bit n, which lies outside every mask."""
-    return lambda rows, n: [0 if ok else 1 << n for ok in verdicts]
+def faulty_closure_table(monkeypatch, verdicts):
+    """Make the closure table of a pre-order built from now on open at
+    entry s exactly when verdicts[s] holds: a rejected mask gets bit n,
+    which lies outside every mask. A pre-order keeps the table it builds,
+    so the faulty one goes only on fresh copies, never on shared models."""
+    monkeypatch.setattr("magmas.preorder.closure_table",
+                        lambda rows, n: tuple(0 if ok else 1 << n for ok in verdicts))
 
 
 def test_open_family_table_uses_library_predicate(monkeypatch, antichain2):
     opens = tp.enumerate_opens(antichain2)  # before the closure table is broken
     full = antichain2.full_mask
     verdicts = [s != full and tp.is_lower_open(antichain2, s) for s in range(1 << 2)]
-    monkeypatch.setattr(tp, "enumerate_opens", lambda p, **kw: opens)
-    monkeypatch.setattr(tp, "closure_table", faulty_closure_table(verdicts))
-    witnesses = _chk_open_family(antichain2, "n=2#0", RunContext(SuiteConfig()))
+    monkeypatch.setattr(tp, "enumerate_opens", lambda p: opens)
+    faulty_closure_table(monkeypatch, verdicts)
+    p = PreOrder(antichain2.labels, antichain2.pred)
+    witnesses = _chk_open_family(p, "n=2#0", RunContext(SuiteConfig()))
     assert {"kind": "union", "x": "{a}", "y": "{b}"} in witnesses
 
 
@@ -694,14 +718,15 @@ def test_open_family_witnesses_match_cubic_loops(monkeypatch, models_by_size):
             table = [real(p, s) != (rng.random() < 0.15) for s in range(1 << n)]
             opens = sorted((s for s in range(1, 1 << n) if table[s] and rng.random() >= 0.2),
                            key=lambda s: (s.bit_count(), s))
-            monkeypatch.setattr(tp, "closure_table", faulty_closure_table(table))
-            monkeypatch.setattr(tp, "enumerate_opens", lambda q, o=opens, **kw: o)
+            faulty_closure_table(monkeypatch, table)
+            monkeypatch.setattr(tp, "enumerate_opens", lambda q, o=opens: o)
             want = []
             for kind, masks in open_family_witnesses(opens, table):
                 if kind != "triple":
                     x, y = (format_atom_set(p, s) for s in masks)
                     want.append({"kind": kind, "x": x, "y": y})
-            got = _chk_open_family(p, f"n={n}#{idx}", RunContext(SuiteConfig()))
+            got = _chk_open_family(PreOrder(p.labels, p.pred), f"n={n}#{idx}",
+                                   RunContext(SuiteConfig()))
             assert got == want
             checked += 1
             failing += bool(got)
@@ -727,7 +752,7 @@ def test_open_family_pairs_decide_larger_families(monkeypatch, models_by_size):
         witnesses = open_family_witnesses(opens, is_open)
         pairs = [(kind, masks) for kind, masks in witnesses if kind != "triple"]
         assert any(kind == "triple" for kind, _ in witnesses) == bool(pairs), p
-        monkeypatch.setattr(tp, "enumerate_opens", lambda q, o=opens, **kw: o)
+        monkeypatch.setattr(tp, "enumerate_opens", lambda q, o=opens: o)
         got = _chk_open_family(p, "m", ctx)
         assert got == [{"kind": kind, "x": format_atom_set(p, x), "y": format_atom_set(p, y)}
                        for kind, (x, y) in pairs], p
@@ -741,8 +766,8 @@ def test_non_open_mask_in_open_masks_is_caught(monkeypatch):
     chain = (0b01, 0b11)
     real = tp.enumerate_opens
 
-    def injected(p, **kw):
-        masks = real(p, **kw)
+    def injected(p):
+        masks = real(p)
         return masks + [0b10] if p.pred == chain else masks
 
     monkeypatch.setattr(tp, "enumerate_opens", injected)
@@ -777,10 +802,10 @@ def test_check_exception_is_a_counterexample(monkeypatch):
     # a bug that raises on one model fails the suite there and the run goes on
     real = tp.duality_failures
 
-    def faulty(p, **kw):
+    def faulty(p):
         if p.pred == (0b01, 0b11):
             raise ValueError("injected fault")
-        return real(p, **kw)
+        return real(p)
 
     monkeypatch.setattr(tp, "duality_failures", faulty)
     cfg = SuiteConfig(suites=("open-complement-duality", "class-vs-cone"), max_size=2)
@@ -854,7 +879,7 @@ def test_minimal_characterizations_match_literal_forms(monkeypatch, models_by_si
             if not brute == cone == klass == lib:
                 want.append({"open": format_atom_set(p, x), "brute": brute,
                              "cone": cone, "class": klass, "library": lib})
-        monkeypatch.setattr(tp, "enumerate_opens", lambda q, f=family, **kw: f)
+        monkeypatch.setattr(tp, "enumerate_opens", lambda q, f=family: f)
         got = _chk_minimal_characterizations(p, "m", RunContext(SuiteConfig()))
         assert got == want, p
         if inject:
@@ -1043,8 +1068,7 @@ def test_patched_open_masks_reaches_the_next_run(monkeypatch):
     assert run_suite(cfg).passed
     real = tp.enumerate_opens
     monkeypatch.setattr(tp, "enumerate_opens",
-                        lambda p, **kw: real(p, **kw) + [0b10] if p.pred == (0b01, 0b11)
-                        else real(p, **kw))
+                        lambda p: real(p) + [0b10] if p.pred == (0b01, 0b11) else real(p))
     assert {cx.rows for cx in run_suite(cfg).failures} == {(0b01, 0b11)}
     monkeypatch.undo()
     assert run_suite(cfg).passed
@@ -1067,8 +1091,8 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
     real_once = RunContext.once
     sizes, fns, contexts = [], set(), set()
 
-    def spy(self, fn, p, **tables):
-        out = real_once(self, fn, p, **tables)
+    def spy(self, fn, p):
+        out = real_once(self, fn, p)
         if self._memo is not None:
             sizes.append(len(self._memo))
         fns.add(fn)
@@ -1077,14 +1101,16 @@ def test_memo_holds_one_block_and_shares_each_fact(monkeypatch):
     real_opens = tp.enumerate_opens
     opened = []
 
-    def opens(p, **kw):
+    def opens(p):
         opened.append(p)
-        return real_opens(p, **kw)
+        return real_opens(p)
     monkeypatch.setattr(RunContext, "once", spy)
     monkeypatch.setattr(tp, "enumerate_opens", opens)
     assert run_suite(SuiteConfig(suites=MEMO_SUITES, max_size=4)).passed
     assert len(opened) == 389
-    assert len(fns) == 4
+    # the open list, the minimal opens and the star condition; the closure
+    # table is kept on the model, not in the memo
+    assert len(fns) == 3
     assert _BLOCK * len(fns) >= max(sizes) > _BLOCK
     assert [c._memo for c in contexts] == [None]
 
@@ -1096,8 +1122,8 @@ def test_hierarchy_scoped_models_are_checked_one_at_a_time(monkeypatch):
     real_once = RunContext.once
     held: dict[int, set[int]] = {}
 
-    def spy(self, fn, p, **tables):
-        out = real_once(self, fn, p, **tables)
+    def spy(self, fn, p):
+        out = real_once(self, fn, p)
         held.setdefault(p.n, set()).add(len({key[1] for key in self._memo}))
         return out
     monkeypatch.setattr(RunContext, "once", spy)
@@ -1108,7 +1134,7 @@ def test_hierarchy_scoped_models_are_checked_one_at_a_time(monkeypatch):
 
 
 def test_each_model_builds_at_most_two_closure_tables(monkeypatch):
-    # every suite reads the one shared pred table of a model, and complement
+    # every suite reads the one pred table a model keeps, and complement
     # duality adds the succ table
     real = tp.closure_table
     calls = []
@@ -1116,8 +1142,8 @@ def test_each_model_builds_at_most_two_closure_tables(monkeypatch):
     def counting(rows, n):
         calls.append(n)
         return real(rows, n)
+    monkeypatch.setattr("magmas.preorder.closure_table", counting)
     monkeypatch.setattr(tp, "closure_table", counting)
-    monkeypatch.setattr(sh, "closure_table", counting)
     report = run_suite(SuiteConfig(suites=tuple(s.suite_id for s in FINITE_SUITES),
                                    max_size=4))
     checked = {r.suite_id: r.models_checked for r in report.results}
@@ -1137,9 +1163,9 @@ def test_models_are_streamed_block_by_block(monkeypatch):
     real_opens = tp.enumerate_opens
     counts = []
 
-    def opens(p, **kw):
+    def opens(p):
         counts.append(len(pulled))
-        return real_opens(p, **kw)
+        return real_opens(p)
     monkeypatch.setattr(tp, "enumerate_opens", opens)
     cfg = SuiteConfig(suites=("open-family-closure",), max_size=4)
     assert run_suite(cfg, _model_hook=hook).passed
